@@ -13,7 +13,7 @@
 # (non-blocking in CI, threshold on the hot-path packages).
 
 GO      ?= go
-BENCH_N ?= 10
+BENCH_N ?= 12
 
 .PHONY: build test vet fmt-check check bench bench-diff bench-guard \
 	cover fuzz-smoke race-stress figure-smoke scenario-smoke \
@@ -137,7 +137,7 @@ race-stress:
 
 # fuzz-smoke runs every fuzz target for FUZZTIME as a quick corpus-driven
 # smoke (CI pairs it with -race to shake out data races in the parallel
-# EigenTrust/sweep paths). Targets are discovered by scanning test files, so
+# sweeps and the multi-shard EigenTrust solver). Targets are discovered by scanning test files, so
 # new Fuzz* functions join the smoke automatically.
 FUZZTIME ?= 20s
 fuzz-smoke:
@@ -261,8 +261,9 @@ serve-bench:
 # shard-smoke gates the sharded EigenTrust solver end to end: it runs the
 # deterministic collusion-plus-churn workload through repinspect -shards,
 # which prints per-shard balance for K ∈ {2,4,8} and exits non-zero if any
-# sharded solve diverges bitwise from the serial reference (or needs a
-# different round count). CI runs it in the figure-smoke job.
+# sharded solve diverges bitwise from the inline K=1 solve or from
+# EigenTrustDense (or needs a different round count). CI runs it in the
+# figure-smoke job.
 shard-smoke:
 	$(GO) run ./cmd/repinspect -shards -peers 300 -clique 6 -boost 0.5 \
 		-rejoin 150 -steps 2000

@@ -326,9 +326,10 @@ func BenchmarkEigenTrust(b *testing.B) {
 }
 
 // BenchmarkEigenTrustVariants compares the dense reference against the
-// sparse path at n=400, density 0.08 (the parallel benchmark's graph): the
-// CSR variants must beat dense by well over the 3× acceptance bar, and the
-// workspace-reuse variant must report 0 allocs/op.
+// sparse path at n=400, density 0.08: the sparse variants must beat dense
+// by well over the 3× acceptance bar, and the workspace-reuse variant (a
+// K=1 solver whose plan refreshes by probing the map graph's rows) must
+// report 0 allocs/op.
 func BenchmarkEigenTrustVariants(b *testing.B) {
 	g := benchTrustGraph(b, 400, 0.08, 3)
 	cfg := reputation.DefaultEigenTrust()
@@ -349,7 +350,10 @@ func BenchmarkEigenTrustVariants(b *testing.B) {
 		}
 	})
 	b.Run("csr-reuse", func(b *testing.B) {
-		ws := reputation.NewEigenTrustWorkspace()
+		ws, err := reputation.NewEigenTrustWorkspace(1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := ws.Compute(g, cfg); err != nil { // warm the buffers
 			b.Fatal(err)
 		}
@@ -361,29 +365,16 @@ func BenchmarkEigenTrustVariants(b *testing.B) {
 			}
 		}
 	})
-	b.Run("csr-reuse-parallel", func(b *testing.B) {
-		ws := reputation.NewEigenTrustWorkspace()
-		if _, err := ws.ComputeParallel(g, cfg, 4); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.ComputeParallel(g, cfg, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
-// BenchmarkTrustGraphChurn is the tentpole benchmark: a CSR-rebuild-heavy
+// BenchmarkTrustGraphChurn is the tentpole benchmark: a rebuild-heavy
 // density-churn workload over the map-backed TrustGraph vs the edge-log
 // LogGraph. Each iteration accumulates trust on existing edges, churns the
 // sparsity pattern (delete a few random edges, add a few new ones — what a
 // live download mesh does as peers come and go), and refreshes the
-// EigenTrust CSR. The map graph's refresh detects the pattern change and
+// EigenTrust plan. The map graph's refresh detects the pattern change and
 // rebuilds by walking n hash maps; the log graph compacts its tail with the
-// counting-scatter merge and hands the CSR a layout-compatible adjacency.
+// counting-scatter merge and hands the plan its adjacency directly.
 // The log variant must beat the map variant at n >= 10k (the acceptance
 // bar recorded in BENCH_5.json).
 func BenchmarkTrustGraphChurn(b *testing.B) {
@@ -411,7 +402,7 @@ func BenchmarkTrustGraphChurn(b *testing.B) {
 			}
 			return edges
 		}
-		iterate := func(g reputation.Graph, edges []op, rng *xrand.Source, csr *reputation.CSR) {
+		iterate := func(g reputation.Graph, edges []op, rng *xrand.Source, plan *reputation.ShardPlan) {
 			for k := 0; k < updates; k++ {
 				e := edges[rng.Intn(len(edges))]
 				g.AddTrust(e.from, e.to, 0.01)
@@ -427,7 +418,7 @@ func BenchmarkTrustGraphChurn(b *testing.B) {
 					edges[rng.Intn(len(edges))] = add
 				}
 			}
-			csr.Refresh(g)
+			plan.Refresh(g)
 		}
 		for _, variant := range []struct {
 			name string
@@ -440,11 +431,14 @@ func BenchmarkTrustGraphChurn(b *testing.B) {
 				g := variant.make()
 				rng := xrand.New(uint64(n))
 				edges := setup(g, rng)
-				csr := reputation.NewCSR(g)
+				plan, err := reputation.NewShardPlan(g, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					iterate(g, edges, rng, csr)
+					iterate(g, edges, rng, plan)
 				}
 			})
 		}
@@ -456,7 +450,7 @@ func BenchmarkTrustGraphChurn(b *testing.B) {
 // lands small trust deltas on a fraction of the source rows and re-solves.
 // The grid crosses the churn fraction with the solve mode:
 //
-//   - warm (the new default): dirty-row CSR refresh + warm-started power
+//   - warm (the new default): dirty-row plan refresh + warm-started power
 //     iteration from the previous eigenvector;
 //   - cold (the pre-PR reference): identical refresh, but the solve restarts
 //     from the pre-trust vector every time (Config.ColdStart).
@@ -491,7 +485,10 @@ func BenchmarkTrustRefreshIncremental(b *testing.B) {
 				}
 				cfg := reputation.DefaultEigenTrust()
 				cfg.ColdStart = mode == "cold"
-				ws := reputation.NewEigenTrustWorkspace()
+				ws, err := reputation.NewEigenTrustWorkspace(1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if _, err := ws.Compute(g, cfg); err != nil { // prime buffers + warm state
 					b.Fatal(err)
 				}
@@ -522,14 +519,14 @@ func BenchmarkTrustRefreshIncremental(b *testing.B) {
 //   - "rounds/op" — power-iteration rounds (bit-identical to the serial
 //     iteration count by construction);
 //   - "xchgMB/op" — t-vector payload crossing the simulated network,
-//     8·n·K·(1+rounds) bytes;
+//     8·n·K·(1+rounds) bytes for K>1, 0 for the inline K=1 solve;
 //   - "shardnnz" — the heaviest shard's matrix entries, the per-shard
 //     per-round work. The acceptance bar: shardnnz shrinks ~proportionally
 //     with K at n=10k while the result stays bit-identical.
 //
-// shards=1 is the degenerate single-shard protocol (one shard + combiner),
-// whose gap to BenchmarkEigenTrustRefresh-style serial solves prices the
-// message passing itself.
+// shards=1 is the inline solve (the gather on the caller's goroutine, no
+// goroutines or channels), so its gap to shards=2 prices the message
+// passing itself.
 func BenchmarkEigenTrustSharded(b *testing.B) {
 	const avgDeg = 8
 	for _, n := range []int{1000, 10000} {
@@ -552,7 +549,7 @@ func BenchmarkEigenTrustSharded(b *testing.B) {
 		cfg.ColdStart = true
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/shards=%d", n, shards), func(b *testing.B) {
-				sw, err := reputation.NewShardedWorkspace(shards)
+				sw, err := reputation.NewEigenTrustWorkspace(shards)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -566,12 +563,12 @@ func BenchmarkEigenTrustSharded(b *testing.B) {
 					if _, err := sw.Compute(g, cfg); err != nil {
 						b.Fatal(err)
 					}
-					st := sw.ShardStats()
-					rounds += st.Rounds
+					st := sw.LastStats()
+					rounds += st.Iterations
 					bytes += st.BytesExchanged
 				}
 				b.StopTimer()
-				st := sw.ShardStats()
+				st := sw.LastStats()
 				maxNNZ := 0
 				for _, z := range st.ShardNNZ {
 					if z > maxNNZ {
@@ -816,20 +813,6 @@ var (
 func init() {
 	if math.IsNaN(sinkFloat + float64(sinkInt) + float64(len(sinkSlice))) {
 		panic("unreachable")
-	}
-}
-
-func BenchmarkEigenTrustParallel(b *testing.B) {
-	g := benchTrustGraph(b, 400, 0.08, 3)
-	cfg := reputation.DefaultEigenTrust()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := reputation.EigenTrustParallel(g, cfg, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -38,7 +38,10 @@ func gossipStats(peers, cliqueSize, steps, rejoinEvery int, boost float64, fanou
 	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
 		return err
 	}
-	ws := reputation.NewEigenTrustWorkspace()
+	ws, err := reputation.NewEigenTrustWorkspace(1)
+	if err != nil {
+		return err
+	}
 	cfg := reputation.DefaultEigenTrust()
 	v, err := ws.Compute(g, cfg)
 	if err != nil {

@@ -44,7 +44,11 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 			cliqueMass += e.W
 		}
 	}
-	dangling := reputation.NewCSR(g).Dangling()
+	plan, err := reputation.NewShardPlan(g, 1)
+	if err != nil {
+		return err
+	}
+	dangling := plan.Dangling()
 
 	fmt.Printf("trust graph after %d steps: %d peers (%d honest, %d-clique), boost=%g, rejoin every %d\n\n",
 		steps, peers, honest, cliqueSize, boost, rejoinEvery)
@@ -69,7 +73,10 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	}
 	// Fresh workspaces keep each solve cold (the bit-exact reference path)
 	// and expose the solver stats EigenTrust's plain-function form hides.
-	uniWS := reputation.NewEigenTrustWorkspace()
+	uniWS, err := reputation.NewEigenTrustWorkspace(1)
+	if err != nil {
+		return err
+	}
 	uniform, err := uniWS.Compute(g, reputation.DefaultEigenTrust())
 	if err != nil {
 		return err
@@ -77,7 +84,10 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	uniStats := uniWS.LastStats()
 	preCfg := reputation.DefaultEigenTrust()
 	preCfg.PreTrusted = []int{0, 1, 2}
-	preWS := reputation.NewEigenTrustWorkspace()
+	preWS, err := reputation.NewEigenTrustWorkspace(1)
+	if err != nil {
+		return err
+	}
 	pre, err := preWS.Compute(g, preCfg)
 	if err != nil {
 		return err

@@ -15,7 +15,7 @@
 // With -shards it measures destination-range shard balance for the sharded
 // EigenTrust solver on the same workload: per-shard rows, nnz, and exchange
 // bytes for K ∈ {2,4,8}, a >2× imbalance flag, and a bit-identity check of
-// each sharded solve against the serial reference.
+// each sharded solve against the inline K=1 solve and EigenTrustDense.
 //
 // Usage:
 //

@@ -15,8 +15,9 @@ import (
 // leave a shard nearly empty, and a zero minimum would flag every split.)
 //
 // Each K then runs the sharded solve and checks it bit-identical against
-// the serial cold workspace solve — the MATCH line `make shard-smoke`
-// gates CI on. A divergence is an error, not just a printout.
+// both the inline K=1 solve and the dense reference EigenTrustDense — the
+// MATCH line `make shard-smoke` gates CI on. A divergence is an error, not
+// just a printout.
 func shardStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error {
 	if peers < 4 || cliqueSize < 2 || cliqueSize >= peers-2 {
 		return fmt.Errorf("need peers >= 4 and 2 <= clique < peers-2, got peers=%d clique=%d",
@@ -36,17 +37,27 @@ func shardStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	g.Compact()
 
 	cfg := reputation.DefaultEigenTrust()
-	ws := reputation.NewEigenTrustWorkspace()
+	ws, err := reputation.NewEigenTrustWorkspace(1)
+	if err != nil {
+		return err
+	}
 	serial, err := ws.Compute(g, cfg)
 	if err != nil {
 		return err
 	}
 	serialStats := ws.LastStats()
 	want := append([]float64(nil), serial...)
+	dense, err := reputation.EigenTrustDense(g, cfg)
+	if err != nil {
+		return err
+	}
+	if !equalVectors(want, dense) {
+		return fmt.Errorf("inline K=1 solve diverged from EigenTrustDense")
+	}
 
 	fmt.Printf("shard balance after %d steps: %d peers (%d honest, %d-clique), boost=%g, rejoin every %d\n",
 		steps, peers, honest, cliqueSize, boost, rejoinEvery)
-	fmt.Printf("graph: nnz=%d  serial solve: %d iterations, converged=%v\n",
+	fmt.Printf("graph: nnz=%d  K=1 solve: %d iterations, converged=%v, bit-identical to EigenTrustDense\n",
 		g.NNZ(), serialStats.Iterations, serialStats.Converged)
 
 	diverged := false
@@ -76,7 +87,7 @@ func shardStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 		}
 		fmt.Printf("  nnz balance: max/mean = %.2f — %s\n", float64(maxNNZ)/mean, balance)
 
-		sw, err := reputation.NewShardedWorkspace(k)
+		sw, err := reputation.NewEigenTrustWorkspace(k)
 		if err != nil {
 			return err
 		}
@@ -84,29 +95,30 @@ func shardStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 		if err != nil {
 			return err
 		}
-		st := sw.ShardStats()
+		st := sw.LastStats()
 		match := "MATCH"
-		if len(got) != len(want) {
+		if !equalVectors(got, want) || !equalVectors(got, dense) || st.Iterations != serialStats.Iterations {
 			match = "DIVERGED"
-		} else {
-			for i := range got {
-				if got[i] != want[i] {
-					match = "DIVERGED"
-					break
-				}
-			}
-		}
-		if st.Rounds != serialStats.Iterations {
-			match = "DIVERGED"
-		}
-		if match == "DIVERGED" {
 			diverged = true
 		}
-		fmt.Printf("  sharded solve: %d rounds, %d bytes exchanged — serial-reference check: %s\n",
-			st.Rounds, st.BytesExchanged, match)
+		fmt.Printf("  sharded solve: %d rounds, %d bytes exchanged — K=1 and dense reference check: %s\n",
+			st.Iterations, st.BytesExchanged, match)
 	}
 	if diverged {
-		return fmt.Errorf("sharded solve diverged from the serial reference")
+		return fmt.Errorf("sharded solve diverged from the K=1 or dense reference")
 	}
 	return nil
+}
+
+// equalVectors reports bitwise equality of two trust vectors.
+func equalVectors(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -20,7 +20,7 @@ func main() {
 		n         = honest + colluders
 	)
 	// The edge-log graph is the production trust store: writes append to a
-	// log and a deterministic compaction folds them into a CSR adjacency.
+	// log and a deterministic compaction folds them into a sorted adjacency.
 	// Swapping in reputation.NewTrustGraph (the map-backed reference) gives
 	// bit-identical results — the differential suite pins the two.
 	g, err := reputation.NewLogGraph(n)

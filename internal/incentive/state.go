@@ -76,8 +76,8 @@ type TitForTatState struct {
 // GlobalTrustState is the mutable state of the EigenTrust-backed scheme: the
 // local-trust edge-log graph in its canonical compacted form (ascending
 // (From, To) edge list — the log tail is folded in by the save) plus the
-// cached trust vector and refresh bookkeeping. The CSR workspace is derived
-// state and rebuilds itself from the graph on the next refresh.
+// cached trust vector and refresh bookkeeping. The solver workspace is
+// derived state and rebuilds itself from the graph on the next refresh.
 type GlobalTrustState struct {
 	Edges        []reputation.Edge
 	Trust        []float64
@@ -252,8 +252,8 @@ func (g *GlobalTrust) SaveState(dst *State) {
 	gs.SinceRefresh = g.sinceRefresh
 }
 
-// LoadState implements Snapshotter. The workspace CSR is derived state; it
-// refreshes itself from the restored graph at the next eigenvector solve.
+// LoadState implements Snapshotter. The workspace's trust-matrix plan is
+// derived state; it refreshes itself from the restored graph at the next eigenvector solve.
 func (g *GlobalTrust) LoadState(src *State) error {
 	if err := checkKind(src, KindEigenTrust); err != nil {
 		return err
@@ -277,9 +277,6 @@ func (g *GlobalTrust) LoadState(src *State) error {
 	// warm-started default. The restored vector also counts as a solve for
 	// the recompute skip, exactly as it did in the engine that saved it.
 	g.ws.SeedWarm(g.trust)
-	if g.sws != nil {
-		g.sws.SeedWarm(g.trust)
-	}
 	g.solved = true
 	if g.cg != nil {
 		// LoadEdges just published the restored graph as a fresh epoch;

@@ -2,8 +2,6 @@ package incentive
 
 import (
 	"testing"
-
-	"collabnet/internal/core"
 )
 
 // TestVotePathDoesNotAllocate guards the per-ballot scheme surface the
@@ -14,7 +12,7 @@ import (
 func TestVotePathDoesNotAllocate(t *testing.T) {
 	const n = 32
 	for _, kind := range []Kind{KindNone, KindReputation, KindTitForTat, KindKarma, KindEigenTrust} {
-		s, err := New(kind, n, core.Default(), true)
+		s, err := newTestScheme(kind, n)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

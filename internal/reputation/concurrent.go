@@ -1,7 +1,6 @@
 package reputation
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -12,7 +11,7 @@ import (
 const defaultIngestShards = 8
 
 // GraphEpoch is one immutable published snapshot of the compacted trust
-// adjacency: the CSR arrays of the writer-side LogGraph frozen at a publish
+// adjacency: the row arrays of the writer-side LogGraph frozen at a publish
 // point. Readers obtain an epoch with ConcurrentGraph.Acquire, read through
 // it with plain array lookups (no locks, no allocation), and Release it when
 // done; the publisher reuses an epoch's buffers only after its reader count
@@ -139,7 +138,7 @@ type ingestShard struct {
 }
 
 // ConcurrentGraph is the concurrent-reader trust store: an edge-log
-// LogGraph behind a sharded ingest queue, with the compacted CSR adjacency
+// LogGraph behind a sharded ingest queue, with the compacted adjacency
 // published to readers as immutable epochs through an atomic pointer swap.
 //
 // # Concurrency model (two epochs, double-buffered)
@@ -168,7 +167,7 @@ type ingestShard struct {
 // interleaving. Because a source's statements all land on one shard in
 // arrival order and shards are drained in shard order, any concurrent
 // schedule that preserves per-source statement order produces compacted
-// CSR arrays — and therefore EigenTrust vectors — bit-identical to the
+// row arrays — and therefore EigenTrust vectors — bit-identical to the
 // serial LogGraph replaying the same per-source sequences. The concurrent
 // differential tests pin this for randomized mixed schedules.
 //
@@ -256,18 +255,12 @@ func (cg *ConcurrentGraph) SetPendingWatermark(k int) {
 	atomic.StoreInt64(&cg.watermark, int64(k))
 }
 
-func (cg *ConcurrentGraph) checkRange(from, to int) error {
-	if from < 0 || from >= cg.n || to < 0 || to >= cg.n {
-		return fmt.Errorf("reputation: edge (%d,%d) out of range [0,%d)", from, to, cg.n)
-	}
-	return nil
-}
-
 // AddTrust accumulates w onto the local trust of from in to: an O(1) append
 // onto the source's ingest shard, visible to readers at the next publish.
-// Semantics match LogGraph (self-trust and non-positive w ignored).
+// Semantics match LogGraph (non-finite w rejected, self-trust and
+// non-positive w ignored).
 func (cg *ConcurrentGraph) AddTrust(from, to int, w float64) error {
-	if err := cg.checkRange(from, to); err != nil {
+	if err := checkEdge(from, to, w, cg.n); err != nil {
 		return err
 	}
 	if from == to || w <= 0 {
@@ -280,7 +273,7 @@ func (cg *ConcurrentGraph) AddTrust(from, to int, w float64) error {
 // SetTrust overwrites the local trust of from in to (zero deletes, negative
 // clamps to zero), with the same enqueue path and visibility as AddTrust.
 func (cg *ConcurrentGraph) SetTrust(from, to int, w float64) error {
-	if err := cg.checkRange(from, to); err != nil {
+	if err := checkEdge(from, to, w, cg.n); err != nil {
 		return err
 	}
 	if from == to {
@@ -446,7 +439,7 @@ func (cg *ConcurrentGraph) ClearPeer(i int) error {
 // LogGraph under the maintenance lock, then publishes the (possibly
 // mutated) state as a fresh epoch and returns that epoch's sequence. This
 // is the solver hook: an EigenTrust refresh runs against the exact merged
-// log — reusing the CSR fast paths keyed on the LogGraph pointer — while
+// log — reusing the plan's fast paths keyed on the LogGraph pointer — while
 // readers keep serving the previous epoch, and the refreshed state becomes
 // visible atomically afterwards. A result computed inside fn should be
 // republished via PublishTrustAt with the returned sequence, so the stamp
@@ -548,7 +541,7 @@ func (cg *ConcurrentGraph) discardLocked() {
 	}
 }
 
-// publishLocked compacts the log, copies its CSR arrays into the spare
+// publishLocked compacts the log, copies its row arrays into the spare
 // buffer, and swaps it in as the new current epoch; the displaced buffer
 // becomes the next spare. Before writing, it waits for readers still pinned
 // on the spare (stragglers from before the previous swap) to drain — the

@@ -329,7 +329,7 @@ func TestConcurrentGraphStressMixedSchedule(t *testing.T) {
 	wg.Add(1)
 	go func() { // refresher: solve + publish trust snapshots mid-churn
 		defer wg.Done()
-		ws := NewEigenTrustWorkspace()
+		ws := mustWorkspace(t, 1)
 		for i := 0; i < 60; i++ {
 			var tv []float64
 			seq := cg.Exclusive(func(lg *LogGraph) {

@@ -91,7 +91,7 @@ func TestEigenTrustCSRMatchesDenseBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(sparse, dense) {
 				for i := range sparse {
 					if sparse[i] != dense[i] {
-						t.Fatalf("component %d: csr=%v dense=%v (diff %g)",
+						t.Fatalf("component %d: sparse=%v dense=%v (diff %g)",
 							i, sparse[i], dense[i], sparse[i]-dense[i])
 					}
 				}
@@ -102,28 +102,115 @@ func TestEigenTrustCSRMatchesDenseBitIdentical(t *testing.T) {
 }
 
 // TestEigenTrustSerialMatchesParallelDeepEqual pins the determinism
-// guarantee: every worker count returns exactly the serial vector.
+// guarantee: every shard count — including more shards than peers —
+// returns exactly the inline K=1 vector with the same round count.
 func TestEigenTrustSerialMatchesParallelDeepEqual(t *testing.T) {
 	for _, c := range differentialCases() {
 		c := c
 		t.Run(fmt.Sprintf("n=%d/d=%g/a=%g/seed=%d", c.n, c.density, c.damping, c.seed), func(t *testing.T) {
 			g := c.graph(t)
 			cfg := c.config()
-			serial, err := EigenTrust(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 7, 0} {
-				par, err := EigenTrustParallel(g, cfg, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
+			serial, st := solveShards(t, g, cfg, 1)
+			for _, k := range []int{2, 3, 7, c.n + 1} {
+				par, pst := solveShards(t, g, cfg, k)
 				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("workers=%d diverges from serial:\n serial=%v\n par=%v",
-						workers, serial, par)
+					t.Fatalf("k=%d diverges from serial:\n serial=%v\n par=%v", k, serial, par)
+				}
+				if pst.Iterations != st.Iterations || pst.Converged != st.Converged {
+					t.Fatalf("k=%d: rounds/converged %d/%v vs serial %d/%v",
+						k, pst.Iterations, pst.Converged, st.Iterations, st.Converged)
 				}
 			}
 		})
+	}
+}
+
+// TestEigenTrustShardStoreSweepMatchesDense is the solver's differential
+// sweep: n × density × shard count × store. Every arm's cold solve — on a
+// fresh plan and again on the reused plan after value churn and a
+// structural change — must equal EigenTrustDense bit for bit, and the
+// warm-started solve that follows must be bit-identical across all arms,
+// since they all start from the same previous vector.
+func TestEigenTrustShardStoreSweepMatchesDense(t *testing.T) {
+	stores := []struct {
+		name string
+		make func(n int) (Graph, func())
+	}{
+		{"trustgraph", func(n int) (Graph, func()) { g, _ := NewTrustGraph(n); return g, func() {} }},
+		{"loggraph", func(n int) (Graph, func()) { g, _ := NewLogGraph(n); return g, func() {} }},
+		{"concurrent", func(n int) (Graph, func()) {
+			g, _ := NewConcurrentGraph(n, 2)
+			return g, g.Flush
+		}},
+	}
+	for _, n := range []int{1, 2, 7, 40} {
+		for _, density := range []float64{0, 0.1, 0.5} {
+			seed := uint64(n)*101 + uint64(density*10)
+			var warmRef []float64
+			for _, store := range stores {
+				for _, k := range []int{1, 2, 3, 8, n + 1} {
+					name := fmt.Sprintf("n=%d/d=%g/%s/k=%d", n, density, store.name, k)
+					g, flush := store.make(n)
+					rng := xrand.New(seed)
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							if i != j && rng.Bool(density) {
+								if err := g.SetTrust(i, j, rng.Float64()*5); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+					}
+					flush()
+					ws := mustWorkspace(t, k)
+					cold := DefaultEigenTrust()
+					cold.ColdStart = true
+					check := func(stage string) {
+						t.Helper()
+						got, err := ws.Compute(g, cold)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := EigenTrustDense(g, cold)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(append([]float64(nil), got...), want) {
+							t.Fatalf("%s %s: solve diverges from dense", name, stage)
+						}
+					}
+					check("fresh")
+					for _, e := range g.AppendEdges(nil) {
+						if rng.Bool(0.5) {
+							if err := g.AddTrust(e.From, e.To, rng.Float64()); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					flush()
+					check("value churn")
+					if n > 2 {
+						if err := g.SetTrust(0, n-1, 0); err != nil {
+							t.Fatal(err)
+						}
+						if err := g.SetTrust(n-1, 1, 3); err != nil {
+							t.Fatal(err)
+						}
+						flush()
+					}
+					check("structural churn")
+					warm, err := ws.Compute(g, DefaultEigenTrust())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warmRef == nil {
+						warmRef = append([]float64(nil), warm...)
+					} else if !reflect.DeepEqual(append([]float64(nil), warm...), warmRef) {
+						t.Fatalf("%s: warm solve diverges from the first arm's", name)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -133,7 +220,7 @@ func TestEigenTrustSerialMatchesParallelDeepEqual(t *testing.T) {
 // ColdStart pins the bit-exact reference path; the warm-started default is
 // covered by the tolerance-bounded suite in incremental_test.go.
 func TestEigenTrustWorkspaceReuseMatchesFresh(t *testing.T) {
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	cfg := DefaultEigenTrust()
 	cfg.ColdStart = true
 	rng := xrand.New(42)
@@ -166,25 +253,28 @@ func TestEigenTrustWorkspaceReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestEigenTrustParallelWorkspaceReuse runs the parallel path repeatedly on
-// one workspace and checks bit-equality with the dense reference each time
-// (ColdStart: the dense reference always starts from pre-trust).
+// TestEigenTrustParallelWorkspaceReuse runs the multi-shard solver
+// repeatedly on one workspace over changing graphs and checks bit-equality
+// with the dense reference each time (ColdStart: the dense reference
+// always starts from pre-trust).
 func TestEigenTrustParallelWorkspaceReuse(t *testing.T) {
-	ws := NewEigenTrustWorkspace()
 	cfg := DefaultEigenTrust()
 	cfg.ColdStart = true
-	for step := 0; step < 10; step++ {
-		g := randomGraph(t, 60, 0.1, uint64(step)+900)
-		got, err := ws.ComputeParallel(g, cfg, 1+step%5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := EigenTrustDense(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(append([]float64(nil), got...), want) {
-			t.Fatalf("step %d: parallel workspace diverges from dense", step)
+	for _, k := range []int{2, 5} {
+		ws := mustWorkspace(t, k)
+		for step := 0; step < 10; step++ {
+			g := randomGraph(t, 60, 0.1, uint64(step)+900)
+			got, err := ws.Compute(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := EigenTrustDense(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(append([]float64(nil), got...), want) {
+				t.Fatalf("k=%d step %d: reused sharded workspace diverges from dense", k, step)
+			}
 		}
 	}
 }

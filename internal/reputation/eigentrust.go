@@ -91,20 +91,25 @@ func (cfg EigenTrustConfig) fillPreTrust(p []float64) {
 // pre-trust distribution: the left principal eigenvector of the normalized
 // local-trust matrix C, with teleportation for convergence and collusion
 // resistance. The result is a probability distribution over peers (sums
-// to 1). An error is reported for invalid configurations.
+// to 1). An error is reported for invalid configurations and for a result
+// that is not a finite distribution.
 //
-// Each power iteration is an O(nnz) gather over a CSR form of C built once
+// Each power iteration is an O(nnz) gather over a ShardPlan of C built once
 // per call; callers that recompute trust repeatedly over an evolving graph
-// should hold an EigenTrustWorkspace instead, which reuses the CSR and all
+// should hold an EigenTrustWorkspace instead, which reuses the plan and all
 // iteration buffers across calls.
 func EigenTrust(g Graph, cfg EigenTrustConfig) ([]float64, error) {
-	return NewEigenTrustWorkspace().Compute(g, cfg)
+	ws, err := NewEigenTrustWorkspace(1)
+	if err != nil {
+		return nil, err
+	}
+	return ws.Compute(g, cfg)
 }
 
 // EigenTrustDense computes the same global trust vector from an explicit
 // dense n×n matrix. It exists as the O(n²)-per-iteration differential
 // reference the test suite pins the sparse path against: every arithmetic
-// operation on a nonzero entry happens in the same order as in the CSR
+// operation on a nonzero entry happens in the same order as in the sparse
 // gather (rows normalized by their ascending-column sum, components
 // accumulated in ascending source order, dangling and convergence sums in
 // index order), and zero entries only ever contribute exact +0 additions —
@@ -118,7 +123,7 @@ func EigenTrustDense(g Graph, cfg EigenTrustConfig) ([]float64, error) {
 	cfg.fillPreTrust(p)
 
 	// Dense normalized matrix; dangling rows stay all-zero and are listed
-	// separately, exactly like the CSR's analytic handling.
+	// separately, exactly like the sparse solver's analytic handling.
 	m := make([][]float64, n)
 	var dangling []int
 	for i := 0; i < n; i++ {

@@ -3,36 +3,40 @@
 // reputation values in a P2P network is assumed", Section I), plus the two
 // propagation algorithms its related work discusses (Section II-C): the
 // EigenTrust algorithm of Kamvar et al. and the maximum-flow trust metric of
-// Feldman et al. It also provides the shared- and private-history stores of
-// the trust-based incentive taxonomy (Section II-B2) and a gossip protocol
-// that disseminates reputation values with tunable fanout.
+// Feldman et al. It also provides a gossip protocol that disseminates
+// reputation values with tunable fanout.
 //
 // # Sparse EigenTrust
 //
-// The normalized local-trust matrix C is held in CSR (compressed sparse
-// row) form in two mirrored layouts — source-major for row consumers and
-// destination-major (the transpose) for the power iteration, which is then
-// an O(nnz) gather: every output component is one contiguous dot product.
-// See the CSR type for the exact layout and the no-sort construction.
+// The normalized local-trust matrix C has one layout, the ShardPlan: the
+// transpose of C in compressed sparse row form, cut into K contiguous
+// destination-range slices (K=1 is the whole matrix). The power iteration
+// next = Cᵀ·t is then an O(nnz) gather: every output component is one
+// contiguous dot product over a slice row. See ShardPlan for the no-sort
+// emission and its refresh paths.
 //
 // # Workspace reuse
 //
-// Callers that recompute trust repeatedly over an evolving graph hold an
-// EigenTrustWorkspace. Its contract: the CSR is value-refreshed in place
-// while the graph's sparsity pattern is stable and rebuilt into the same
-// buffers otherwise; iteration vectors are reused across calls; the
-// returned slice is owned by the workspace and valid until the next call.
-// In steady state, Compute performs zero allocations.
+// EigenTrustWorkspace is the one solver, built with its shard count.
+// Callers that recompute trust repeatedly over an evolving graph hold one.
+// Its contract: the plan is value-refreshed in place while the graph's
+// sparsity pattern is stable and re-emitted into the same buffers
+// otherwise; iteration vectors are reused across calls; the returned slice
+// is owned by the workspace and valid until the next call. In steady state
+// a K=1 Compute performs zero allocations. Every solve ends with a
+// post-condition: a result that is not a finite distribution (a row sum
+// can overflow even when every weight is finite) is an error, and the
+// warm-start state keeps the last good vector.
 //
 // # Incremental recomputation
 //
 // Refresh cost is proportional to churn, not n, at two layers. First,
 // LogGraph remembers which source rows its uncompacted tail touched; on
-// the pattern-stable path CSR.Refresh copies and re-normalizes only those
-// rows. Row normalization is row-local, so the dirty-row refresh is
-// bit-identical to the full value copy; a generation counter detects a
-// second CSR consuming the same log and drops lagging consumers to the
-// full copy (still exact). Second, the workspace warm-starts each solve
+// the pattern-stable path ShardPlan.Refresh re-normalizes only those rows.
+// Row normalization is row-local, so the dirty-row refresh is
+// bit-identical to the full value pass; a generation counter detects a
+// second plan consuming the same log and drops lagging consumers to the
+// full pass (still exact). Second, the workspace warm-starts each solve
 // from its previous eigenvector. The power-iteration map contracts in L1
 // with factor 1−Damping, so any two results stopped at Epsilon agree
 // within 2·Epsilon/Damping in L1 regardless of starting point — the bound
@@ -44,13 +48,13 @@
 //
 // Two implementations of the Graph interface hold the local-trust
 // statements. TrustGraph is the map-backed executable reference: one
-// map[int]float64 per row, simple and obviously correct, but every CSR
+// map[int]float64 per row, simple and obviously correct, but every plan
 // rebuild walks n hash maps and the per-row buckets dominate memory at
 // large n. LogGraph is the production store on the road to the million-peer
-// target: writes append to an edge log, reads merge the last compacted CSR
+// target: writes append to an edge log, reads merge the last compacted
 // adjacency with the small uncompacted tail, and a deterministic
 // counting-scatter compaction (log-size watermark or explicit Compact)
-// folds the tail back into the CSR — no sorting, no maps, no per-edge
+// folds the tail back into the adjacency — no sorting, no maps, no per-edge
 // allocation in steady state. A randomized differential test and the
 // graph-differential fuzz target pin the two implementations to identical
 // observable behavior over interleaved add/set/clear/compact/query
@@ -73,7 +77,7 @@
 //     for as long as the pin is held.
 //   - The publisher swaps: whoever runs maintenance (Flush, ClearPeer,
 //     Exclusive, the automatic pending watermark) drains the sharded
-//     ingest queues into the log in shard order, compacts, copies the CSR
+//     ingest queues into the log in shard order, compacts, copies the row
 //     arrays into the spare buffer, and atomically swaps it in as the new
 //     current epoch.
 //   - The publisher also retires: exactly two buffers exist, and before
@@ -93,56 +97,50 @@
 //
 // # Destination-range sharded solver
 //
-// ShardedWorkspace runs the power iteration across K shards that
-// communicate only by message passing — goroutines and explicit channels
+// With K>1 shards the workspace runs the power iteration across K
+// goroutines that communicate only by message passing — explicit channels
 // stand in for network processes, so the per-round exchange protocol (not
-// shared memory) is what the implementation exercises. Each shard owns the
-// contiguous destination range ShardRange(n, K, s) of the transposed CSR;
-// LogGraph compaction emits the per-shard slices directly (emitShardSlices
-// into a ShardPlan), so no shard materializes the global matrix and a
-// slice's nnz shrinks proportionally with K. Per round a shard gathers its
-// output rows from its local copy of the t-vector, ships the slice to the
-// K−1 peers and the combiner, and waits for the combiner's continue/stop
-// broadcast; links are double-buffered by round parity so a sender one
-// round ahead never overwrites a slice a slower receiver still reads.
-//
-// Bit-identity with the serial solver holds for every shard count because
-// sharding only moves where a component is computed, never the arithmetic
-// order: each destination gathers sources ascending exactly as the serial
-// loop does, dangling mass and renormalization sum serially in index
-// order, and the convergence decision is made once by the combiner over
-// the assembled full vector — per-shard partial deltas would regroup the
-// float additions and could flip the Epsilon stopping test. ShardPlan
-// shares the dirty-row refresh path with CSR (pattern-stable churn
-// re-normalizes only the touched rows in the affected slices), warm starts
-// work exactly as in the serial workspace, and ShardStats reports rounds,
-// exchange bytes (8·n·K·(1+rounds)), and per-shard rows/nnz.
+// shared memory) is what the implementation exercises. Shard s owns the
+// destination range ShardRange(n, K, s) and holds only that slice of the
+// plan, so a slice's nnz shrinks proportionally with K. Per round a shard
+// gathers its output rows from its local copy of the t-vector, ships the
+// slice to the K−1 peers and the combiner (the caller's goroutine), and
+// waits for the combiner's continue/stop broadcast; links are
+// double-buffered by round parity so a sender one round ahead never
+// overwrites a slice a slower receiver still reads. SolveStats reports the
+// rounds, the exchange bytes (8·n·K·(1+rounds)), and per-shard rows/nnz.
 //
 // # Determinism
 //
-// EigenTrust, EigenTrustDense, EigenTrustWorkspace.Compute, and
-// ComputeParallel at any worker count all return bit-identical vectors for
-// the same graph and configuration: each component's accumulation order is
-// fixed by the CSR layout (sources ascending) rather than by scheduling or
-// map iteration order, row normalization sums entries in ascending column
-// order, and the dangling and convergence sums run serially in index order.
-// Because normalization always sums rows in ascending column order, the
-// vectors are also bit-identical between the map-backed and the edge-log
-// graph, and MaxFlow canonicalizes its input through AppendEdges so its
-// augmenting order — and therefore its flow values — cannot depend on map
-// iteration order either.
+// EigenTrust, EigenTrustDense, and EigenTrustWorkspace.Compute at every
+// shard count return bit-identical vectors for the same graph and
+// configuration (cold, or warm from the same previous vector). Sharding
+// only moves where a component is computed, never the arithmetic order:
+// each component's accumulation order is fixed by the layout (sources
+// ascending), row normalization sums entries in ascending column order,
+// and the dangling, convergence, and renormalization sums run serially in
+// index order at a single site — the combiner makes the stopping decision
+// over the assembled full vector, since per-shard partial deltas would
+// regroup the float additions and could flip the Epsilon test. Because
+// normalization always sums rows in ascending column order, the vectors
+// are also bit-identical across the graph stores, and MaxFlow
+// canonicalizes its input through AppendEdges so its augmenting order —
+// and therefore its flow values — cannot depend on map iteration order
+// either.
 package reputation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
 // Graph is the trust-store interface shared by the map-backed TrustGraph
 // (the executable reference) and the edge-log LogGraph (the scalable
-// store). All implementations agree on semantics: self-trust is ignored,
-// negative trust clamps to zero, SetTrust with zero removes the edge, and
-// AppendEdges emits the canonical ascending (From, To) edge list.
+// store). All implementations agree on semantics: non-finite weights (NaN,
+// ±Inf) are rejected with an error, self-trust is ignored, negative trust
+// clamps to zero, SetTrust with zero removes the edge, and AppendEdges
+// emits the canonical ascending (From, To) edge list.
 type Graph interface {
 	// Len returns the number of peers.
 	Len() int
@@ -201,10 +199,10 @@ func (g *TrustGraph) Len() int { return g.n }
 
 // SetTrust sets the local trust of from in to. Negative trust is clamped to
 // zero (EigenTrust's normalization discards negative evidence); self-trust
-// is ignored. Out-of-range ids return an error.
+// is ignored. Out-of-range ids and non-finite weights return an error.
 func (g *TrustGraph) SetTrust(from, to int, w float64) error {
-	if from < 0 || from >= g.n || to < 0 || to >= g.n {
-		return fmt.Errorf("reputation: edge (%d,%d) out of range [0,%d)", from, to, g.n)
+	if err := checkEdge(from, to, w, g.n); err != nil {
+		return err
 	}
 	if from == to {
 		return nil
@@ -222,13 +220,26 @@ func (g *TrustGraph) SetTrust(from, to int, w float64) error {
 
 // AddTrust accumulates w onto the existing local trust of from in to.
 func (g *TrustGraph) AddTrust(from, to int, w float64) error {
-	if from < 0 || from >= g.n || to < 0 || to >= g.n {
-		return fmt.Errorf("reputation: edge (%d,%d) out of range [0,%d)", from, to, g.n)
+	if err := checkEdge(from, to, w, g.n); err != nil {
+		return err
 	}
 	if from == to || w <= 0 {
 		return nil
 	}
 	g.edges[from][to] += w
+	return nil
+}
+
+// checkEdge rejects a statement no store accepts: an endpoint outside
+// [0, n), or a non-finite weight, which would poison every row sum it
+// entered.
+func checkEdge(from, to int, w float64, n int) error {
+	if from < 0 || from >= n || to < 0 || to >= n {
+		return fmt.Errorf("reputation: edge (%d,%d) out of range [0,%d)", from, to, n)
+	}
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("reputation: trust weight must be finite, got %v", w)
+	}
 	return nil
 }
 

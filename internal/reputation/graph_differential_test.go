@@ -147,17 +147,11 @@ func TestEigenTrustBitIdenticalAcrossGraphs(t *testing.T) {
 		if gotDense, _ := EigenTrustDense(lg, cfg); !reflect.DeepEqual(gotDense, want) {
 			t.Fatalf("seed %d: dense over log graph differs", seed)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			gotMap, err := EigenTrustParallel(ref, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotLog, err := EigenTrustParallel(lg, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, k := range []int{1, 2, 4, 7} {
+			gotMap, _ := solveShards(t, ref, cfg, k)
+			gotLog, _ := solveShards(t, lg, cfg, k)
 			if !reflect.DeepEqual(gotMap, want) || !reflect.DeepEqual(gotLog, want) {
-				t.Fatalf("seed %d workers %d: sparse paths differ from dense", seed, workers)
+				t.Fatalf("seed %d k %d: sparse paths differ from dense", seed, k)
 			}
 		}
 		// A pending tail (uncompacted statements) must not change results.
@@ -179,8 +173,8 @@ func TestEigenTrustBitIdenticalAcrossGraphs(t *testing.T) {
 	}
 }
 
-// TestMaxFlowBitIdenticalAcrossGraphs pins MaxFlow, MaxFlowTrust, and the
-// parallel variant to identical outputs over the two graph stores: the
+// TestMaxFlowBitIdenticalAcrossGraphs pins MaxFlow and MaxFlowTrust to
+// identical outputs over the two graph stores: the
 // canonical edge list fixes the augmenting order, so the flows are
 // bit-identical, not merely close.
 func TestMaxFlowBitIdenticalAcrossGraphs(t *testing.T) {
@@ -211,33 +205,22 @@ func TestMaxFlowBitIdenticalAcrossGraphs(t *testing.T) {
 		if !reflect.DeepEqual(vm, vl) {
 			t.Fatalf("seed %d: MaxFlowTrust differs", seed)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			vp, err := MaxFlowTrustParallel(lg, 0, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(vp, vm) {
-				t.Fatalf("seed %d workers %d: parallel MaxFlowTrust differs", seed, workers)
-			}
-		}
 	}
 }
 
-// TestCSRFromLogGraphMatchesMap builds the EigenTrust CSR from both stores
-// over random graphs and demands identical dense forms — the structural
+// TestCSRFromLogGraphMatchesMap builds the EigenTrust plan from both
+// stores over random graphs and demands identical slices — the structural
 // guarantee behind the bit-identical vectors.
 func TestCSRFromLogGraphMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		n := 3 + int(seed)*5
 		ref, lg := buildGraphPair(t, n, 0.2, seed*7)
-		cm := NewCSR(ref)
-		cl := NewCSR(lg)
-		if !reflect.DeepEqual(cm.Dense(), cl.Dense()) {
-			t.Fatalf("seed %d: CSR dense forms differ", seed)
+		for _, k := range []int{1, 4} {
+			pm, pl := mustPlan(t, ref, k), mustPlan(t, lg, k)
+			if !reflect.DeepEqual(pm.Slices(), pl.Slices()) {
+				t.Fatalf("seed %d k %d: plans differ", seed, k)
+			}
+			checkPlanInvariants(t, pl, ref)
 		}
-		if !reflect.DeepEqual(cm.Dangling(), cl.Dangling()) {
-			t.Fatalf("seed %d: dangling sets differ", seed)
-		}
-		checkCSRInvariants(t, cl, ref)
 	}
 }

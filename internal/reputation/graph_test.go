@@ -137,3 +137,44 @@ func TestTrustGraphClear(t *testing.T) {
 		t.Fatal("cleared graph rejected new trust")
 	}
 }
+
+// TestNonFiniteWeightsRejected pins the admission rule every store shares:
+// NaN and ±Inf weights are an error at SetTrust, AddTrust, and LoadEdges,
+// and leave no statement behind — a single accepted NaN used to turn every
+// EigenTrust component into NaN with a nil error.
+func TestNonFiniteWeightsRejected(t *testing.T) {
+	stores := map[string]func() Graph{
+		"trustgraph": func() Graph { g, _ := NewTrustGraph(4); return g },
+		"loggraph":   func() Graph { g, _ := NewLogGraph(4); return g },
+		"concurrent": func() Graph { g, _ := NewConcurrentGraph(4, 2); return g },
+	}
+	entries := map[string]func(g Graph, w float64) error{
+		"SetTrust":  func(g Graph, w float64) error { return g.SetTrust(3, 0, w) },
+		"AddTrust":  func(g Graph, w float64) error { return g.AddTrust(3, 0, w) },
+		"LoadEdges": func(g Graph, w float64) error { return g.LoadEdges([]Edge{{From: 3, To: 0, W: w}}) },
+	}
+	for store, mk := range stores {
+		for entry, call := range entries {
+			t.Run(store+"/"+entry, func(t *testing.T) {
+				for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					g := mk()
+					if err := call(g, w); err == nil {
+						t.Fatalf("w=%v accepted", w)
+					}
+					if edges := g.AppendEdges(nil); len(edges) != 0 {
+						t.Fatalf("w=%v left edges behind: %v", w, edges)
+					}
+					tv, err := EigenTrust(g, DefaultEigenTrust())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, x := range tv {
+						if x != 0.25 {
+							t.Fatalf("w=%v: trust[%d] = %v, want uniform", w, i, x)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -58,7 +58,7 @@ func TestWarmStartWithinBound(t *testing.T) {
 		rng := xrand.New(seed)
 		n := 20 + rng.Intn(40)
 		g := randomLogGraph(t, n, 0.15, seed+1000)
-		ws := NewEigenTrustWorkspace()
+		ws := mustWorkspace(t, 1)
 		for step := 0; step < 12; step++ {
 			warm, err := ws.Compute(g, cfg)
 			if err != nil {
@@ -108,15 +108,16 @@ func TestWarmStartWithinBound(t *testing.T) {
 }
 
 // TestWarmStartDeterministicAcrossWorkers pins that warm-started solves are
-// bit-identical for every worker count: two workspaces driven through the
-// same solve/churn sequence, one serial and one parallel, never diverge.
+// bit-identical for every shard count: two workspaces driven through the
+// same solve/churn sequence, one inline (K=1) and one sharded, never
+// diverge.
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultEigenTrust()
 	for _, workers := range []int{2, 3, 8} {
 		g1 := randomLogGraph(t, 50, 0.12, 42)
 		g2 := randomLogGraph(t, 50, 0.12, 42)
-		ws1 := NewEigenTrustWorkspace()
-		ws2 := NewEigenTrustWorkspace()
+		ws1 := mustWorkspace(t, 1)
+		ws2 := mustWorkspace(t, workers)
 		rng1 := xrand.New(5)
 		rng2 := xrand.New(5)
 		churn := func(g *LogGraph, rng *xrand.Source) {
@@ -134,7 +135,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := ws2.ComputeParallel(g2, cfg, workers)
+			par, err := ws2.Compute(g2, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +160,7 @@ func TestColdStartBitIdenticalToFresh(t *testing.T) {
 	cold := cfg
 	cold.ColdStart = true
 	g := randomLogGraph(t, 40, 0.2, 7)
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	if _, err := ws.Compute(g, cfg); err != nil { // pollute warm state
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestColdStartBitIdenticalToFresh(t *testing.T) {
 
 // TestDirtyRowRefreshExact pins the dirty-row fast path: after a converged
 // build, touching k rows must refresh exactly those k rows on the
-// pattern-stable path, and the resulting CSR must be bit-identical to a
+// pattern-stable path, and the resulting plan must be bit-identical to a
 // full rebuild of the same graph.
 func TestDirtyRowRefreshExact(t *testing.T) {
 	g := randomLogGraph(t, 60, 0.15, 11)
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	cfg := DefaultEigenTrust()
 	if _, err := ws.Compute(g, cfg); err != nil {
 		t.Fatal(err)
@@ -224,49 +225,49 @@ func TestDirtyRowRefreshExact(t *testing.T) {
 	}
 
 	// Bit-identity against a full rebuild.
-	if !reflect.DeepEqual(ws.CSR().Dense(), NewCSR(g).Dense()) {
+	if !reflect.DeepEqual(densify(ws.Plan()), densify(mustPlan(t, g.Clone(), 1))) {
 		t.Fatal("dirty-row refresh diverges from full rebuild")
 	}
 }
 
 // TestDirtyRowMultiConsumerFallback pins the consumption protocol: when two
-// CSRs refresh from one log, the one that missed a delta span must fall
-// back to the full value copy and still come out bit-identical to a
+// plans refresh from one log, the one that missed a delta span must fall
+// back to the full value pass and still come out bit-identical to a
 // rebuild.
 func TestDirtyRowMultiConsumerFallback(t *testing.T) {
 	g := randomLogGraph(t, 30, 0.2, 13)
-	a, b := NewCSR(g), NewCSR(g)
+	a, b := mustPlan(t, g, 1), mustPlan(t, g, 1)
 	bump := func() {
 		if err := g.AddTrust(3, firstEdge(t, g, 3), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
+	rebuilt := func() [][]float64 { return densify(mustPlan(t, g.Clone(), 1)) }
 
 	bump()
 	a.Refresh(g) // consumes; bumps the generation past b's record
-	if !a.lastRefresh.DirtyOnly {
-		t.Fatalf("first consumer should take the dirty path, got %+v", a.lastRefresh)
+	if !a.LastRefresh().DirtyOnly {
+		t.Fatalf("first consumer should take the dirty path, got %+v", a.LastRefresh())
 	}
 	bump()
-	b.Refresh(g) // b missed the first span: must do the full value copy
-	if b.lastRefresh.DirtyOnly {
+	b.Refresh(g) // b missed the first span: must do the full value pass
+	if b.LastRefresh().DirtyOnly {
 		t.Fatal("second consumer took the dirty path despite a missed span")
 	}
-	if !b.lastRefresh.PatternStable {
-		t.Fatalf("fallback should still be pattern-stable, got %+v", b.lastRefresh)
+	if !b.LastRefresh().PatternStable {
+		t.Fatalf("fallback should still be pattern-stable, got %+v", b.LastRefresh())
 	}
-	want := NewCSR(g.Clone()).Dense()
-	if !reflect.DeepEqual(b.Dense(), want) {
+	if !reflect.DeepEqual(densify(b), rebuilt()) {
 		t.Fatal("fallback refresh diverges from rebuild")
 	}
 	// a missed b's consumption in turn; its next refresh must also fall
 	// back yet stay exact.
 	bump()
 	a.Refresh(g)
-	if a.lastRefresh.DirtyOnly {
+	if a.LastRefresh().DirtyOnly {
 		t.Fatal("consumer with a missed span took the dirty path")
 	}
-	if !reflect.DeepEqual(a.Dense(), NewCSR(g.Clone()).Dense()) {
+	if !reflect.DeepEqual(densify(a), rebuilt()) {
 		t.Fatal("second fallback refresh diverges from rebuild")
 	}
 }
@@ -292,7 +293,7 @@ func firstEdge(t *testing.T, g *LogGraph, row int) int {
 func TestWarmStartFewerIterations(t *testing.T) {
 	n := 400
 	g := randomLogGraph(t, n, 0.02, 21)
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	cfg := DefaultEigenTrust()
 	if _, err := ws.Compute(g, cfg); err != nil {
 		t.Fatal(err)
@@ -320,7 +321,7 @@ func TestWarmStartFewerIterations(t *testing.T) {
 		t.Fatal("expected warm solve")
 	}
 
-	coldWS := NewEigenTrustWorkspace()
+	coldWS := mustWorkspace(t, 1)
 	if _, err := coldWS.Compute(g, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -358,5 +359,49 @@ func TestSpreadTraceMatchesSpread(t *testing.T) {
 	}
 	if trace[len(trace)-1] != traced.Informed {
 		t.Fatalf("trace ends at %d, result says %d informed", trace[len(trace)-1], traced.Informed)
+	}
+}
+
+// TestSolvePostConditionKeepsWarmState pins the solver post-condition:
+// finite weights can still overflow a row sum (two accumulations of 1e308
+// on one pair), and the resulting non-finite vector is an error at every
+// shard count — with the warm-start state left at the last good vector, so
+// the next solve after the row is repaired runs exactly as if the bad
+// solve never happened.
+func TestSolvePostConditionKeepsWarmState(t *testing.T) {
+	cfg := DefaultEigenTrust()
+	for _, k := range []int{1, 3} {
+		g := randomLogGraph(t, 20, 0.2, 61)
+		ws := mustWorkspace(t, k)
+		v, err := ws.Compute(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := append([]float64(nil), v...)
+		to := firstEdge(t, g, 2)
+		for i := 0; i < 2; i++ {
+			if err := g.AddTrust(2, to, 1e308); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ws.Compute(g, cfg); err == nil {
+			t.Fatalf("k=%d: overflowed row sum solved without error", k)
+		}
+		if err := g.SetTrust(2, to, 1); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ws.Compute(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mustWorkspace(t, 1)
+		ref.SeedWarm(good)
+		want, err := ref.Compute(g.Clone(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ws.LastStats().Warm || !reflect.DeepEqual(append([]float64(nil), got...), want) {
+			t.Fatalf("k=%d: solve after the failure did not resume from the last good vector", k)
+		}
 	}
 }

@@ -25,17 +25,17 @@ type logOp struct {
 // # Layout
 //
 // The graph is two parts. The compacted adjacency holds the folded trust
-// statements in CSR layout — rowPtr/colIdx/val with raw positive weights
-// and strictly ascending columns per row — which is both the read substrate
-// and (unlike the map-backed TrustGraph) directly reusable by the
-// EigenTrust CSR build, so a refresh never walks hash maps. The tail is an
-// append-only log of statements since the last compaction: AddTrust and
-// SetTrust are O(1) appends that allocate nothing once the tail's capacity
-// has grown.
+// statements in compressed sparse row layout — rowPtr/colIdx/val with raw
+// positive weights and strictly ascending columns per row — which is both
+// the read substrate and (unlike the map-backed TrustGraph) directly the
+// raw adjacency the EigenTrust ShardPlan emits from, so a refresh never
+// walks hash maps. The tail is an append-only log of statements since the
+// last compaction: AddTrust and SetTrust are O(1) appends that allocate
+// nothing once the tail's capacity has grown.
 //
 // # Reads
 //
-// Point and row reads merge the compacted CSR with the tail: Trust binary-
+// Point and row reads merge the compacted rows with the tail: Trust binary-
 // searches the compacted row and replays the (short) tail; OutEdges and
 // OutDegree emit a merged row — compacted columns ascending, then new tail
 // columns in first-touch order — through reusable scratch. AppendEdges
@@ -46,7 +46,7 @@ type logOp struct {
 // # Compaction
 //
 // Compact folds the tail into the compacted adjacency with a deterministic
-// counting-scatter merge, mirroring the no-sort CSR construction: the tail
+// counting-scatter merge, mirroring the no-sort plan emission: the tail
 // is bucketed by source row, each row's ops collapse into per-pair net
 // effects via a dense column-slot scratch, the pairs are ordered by column
 // with a two-pass scatter through a destination-major layout (never a
@@ -59,7 +59,7 @@ type logOp struct {
 // # Determinism
 //
 // Every observable — reads, compaction results, the pattern-change
-// generation the EigenTrust CSR keys its value-only refresh on — is a pure
+// generation the EigenTrust plan keys its value-only refresh on — is a pure
 // function of the statement sequence. The differential suite pins LogGraph
 // to the map-backed TrustGraph over interleaved add/set/clear/compact/query
 // sequences, and EigenTrust/MaxFlow results over the two stores are
@@ -67,8 +67,8 @@ type logOp struct {
 type LogGraph struct {
 	n int
 
-	// Compacted adjacency: raw positive trust weights in CSR layout,
-	// columns strictly ascending within a row.
+	// Compacted adjacency: raw positive trust weights in compressed sparse
+	// row layout, columns strictly ascending within a row.
 	rowPtr []int
 	colIdx []int32
 	val    []float64
@@ -80,9 +80,9 @@ type LogGraph struct {
 	watermark int    // fixed compaction threshold; 0 = automatic
 	patGen    uint64 // bumped whenever the sparsity pattern changes
 
-	// Dirty-row tracking for the CSR's incremental value refresh: every
+	// Dirty-row tracking for the plan's incremental value refresh: every
 	// appended statement marks its source row dirty, and the set survives
-	// compactions until a consumer (CSR.Refresh or a rebuild) folds it in
+	// compactions until a consumer (ShardPlan.Refresh) folds it in
 	// and calls consumeDirty. dirtyGen is bumped at each consumption so a
 	// second consumer that missed a span detects the gap and falls back to
 	// a full value copy instead of trusting a partial delta.
@@ -179,18 +179,11 @@ func (g *LogGraph) threshold() int {
 	return t
 }
 
-func (g *LogGraph) checkRange(from, to int) error {
-	if from < 0 || from >= g.n || to < 0 || to >= g.n {
-		return fmt.Errorf("reputation: edge (%d,%d) out of range [0,%d)", from, to, g.n)
-	}
-	return nil
-}
-
 // SetTrust sets the local trust of from in to. Negative trust is clamped to
 // zero (zero removes the edge at the next compaction); self-trust is
-// ignored. Out-of-range ids return an error.
+// ignored. Out-of-range ids and non-finite weights return an error.
 func (g *LogGraph) SetTrust(from, to int, w float64) error {
-	if err := g.checkRange(from, to); err != nil {
+	if err := checkEdge(from, to, w, g.n); err != nil {
 		return err
 	}
 	if from == to {
@@ -206,7 +199,7 @@ func (g *LogGraph) SetTrust(from, to int, w float64) error {
 // AddTrust accumulates w onto the existing local trust of from in to.
 // Non-positive w and self-trust are ignored, like the map-backed reference.
 func (g *LogGraph) AddTrust(from, to int, w float64) error {
-	if err := g.checkRange(from, to); err != nil {
+	if err := checkEdge(from, to, w, g.n); err != nil {
 		return err
 	}
 	if from == to || w <= 0 {
@@ -585,7 +578,7 @@ func (g *LogGraph) Compact() {
 	// Phase 3: order each row's pairs by column without sorting: scatter
 	// the pairs into a destination-major layout (rows ascending within a
 	// destination because pairs are enumerated rows-ascending) and back —
-	// the same two-scatter argument the CSR build uses.
+	// the same two-scatter argument the plan build uses.
 	npairs := len(g.pCols)
 	g.dPtr = growInts(g.dPtr, n+1)
 	for j := 0; j <= n; j++ {
@@ -683,109 +676,4 @@ func (g *LogGraph) Compact() {
 	if changed {
 		g.patGen++
 	}
-}
-
-// emitShardSlices scatters the compacted adjacency directly into p's K
-// transposed destination-range slices — the sharded analogue of
-// CSR.rebuildFromLog, sharing its counting-scatter shape but never
-// materializing a global CSR: each destination's entries land straight in
-// the slice of the shard that owns it.
-//
-// Order and arithmetic are chosen so every slice is bit-identical to the
-// corresponding range of the global transposed CSR: the scatter runs
-// sources ascending (so each destination's sources come out ascending, the
-// gather order the solver's determinism rests on), and each stored value is
-// g.val[k]/rowSum where rowSum accumulates the forward row in ascending
-// column order — the exact expression CSR.normalizeRow evaluates.
-//
-// Alongside the slices it records, for each forward entry k, the owning
-// shard (eShard) and the slot within that shard's TVal (ePos), so a
-// pattern-stable refresh can renormalize a dirty row's values in place
-// without re-scattering. Each slice also receives its own copy of the
-// global dangling-row list: in a real deployment every shard carries that
-// list (it is O(dangling) metadata, not graph structure), because the
-// dangling mass is a function of the full t-vector each shard assembles
-// anyway.
-func (g *LogGraph) emitShardSlices(p *ShardPlan) {
-	g.Compact()
-	n := g.n
-	k := p.k
-	p.n = n
-
-	// Destination → owning shard for the contiguous equal split. The
-	// boundaries are floor(s·n/k); note floor(j·k/n) does NOT invert that
-	// partition (e.g. n=10, k=3, j=3), hence the explicit table.
-	p.shardOf = growInt32s(p.shardOf, n)
-	for s := 0; s < k; s++ {
-		lo, hi := ShardRange(n, k, s)
-		sl := &p.slices[s]
-		sl.Lo, sl.Hi, sl.N = lo, hi, n
-		for j := lo; j < hi; j++ {
-			p.shardOf[j] = int32(s)
-		}
-		sl.TRowPtr = growInts(sl.TRowPtr, hi-lo+1)
-		for r := 0; r <= hi-lo; r++ {
-			sl.TRowPtr[r] = 0
-		}
-	}
-
-	// Pass 1: per-slice in-degree counts, then local prefix sums.
-	nnz := len(g.colIdx)
-	p.eShard = growInt32s(p.eShard, nnz)
-	p.ePos = growInts(p.ePos, nnz)
-	for _, j := range g.colIdx {
-		sl := &p.slices[p.shardOf[j]]
-		sl.TRowPtr[int(j)-sl.Lo+1]++
-	}
-	for s := 0; s < k; s++ {
-		sl := &p.slices[s]
-		rows := sl.Hi - sl.Lo
-		for r := 0; r < rows; r++ {
-			sl.TRowPtr[r+1] += sl.TRowPtr[r]
-		}
-		m := sl.TRowPtr[rows]
-		sl.TColIdx = growInt32s(sl.TColIdx, m)
-		sl.TVal = growFloats(sl.TVal, m)
-	}
-
-	// Pass 2: forward → per-slice transpose scatter, rows ascending, with
-	// the normalization division fused in. cur[j] is destination j's next
-	// free slot within its owning slice.
-	p.cur = growInts(p.cur, n)
-	for s := 0; s < k; s++ {
-		sl := &p.slices[s]
-		for j := sl.Lo; j < sl.Hi; j++ {
-			p.cur[j] = sl.TRowPtr[j-sl.Lo]
-		}
-	}
-	p.dang = p.dang[:0]
-	for i := 0; i < n; i++ {
-		lo, hi := g.rowPtr[i], g.rowPtr[i+1]
-		if lo == hi {
-			p.dang = append(p.dang, int32(i))
-			continue
-		}
-		sum := 0.0
-		for e := lo; e < hi; e++ {
-			sum += g.val[e]
-		}
-		for e := lo; e < hi; e++ {
-			j := g.colIdx[e]
-			s := p.shardOf[j]
-			sl := &p.slices[s]
-			pos := p.cur[j]
-			p.cur[j] = pos + 1
-			sl.TColIdx[pos] = int32(i)
-			sl.TVal[pos] = g.val[e] / sum
-			p.eShard[e] = s
-			p.ePos[e] = pos
-		}
-	}
-	for s := 0; s < k; s++ {
-		sl := &p.slices[s]
-		sl.Dangling = append(sl.Dangling[:0], p.dang...)
-	}
-
-	p.follow.rebuilt(g)
-	p.lastRefresh = RefreshStats{RowsTouched: n}
 }

@@ -239,7 +239,7 @@ func TestLogGraphSteadyStateCycleAllocs(t *testing.T) {
 		}
 	}
 	g.Compact()
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	cfg := DefaultEigenTrust()
 	if _, err := ws.Compute(g, cfg); err != nil {
 		t.Fatal(err)
@@ -265,34 +265,34 @@ func TestLogGraphSteadyStateCycleAllocs(t *testing.T) {
 	}
 }
 
-// TestCSRRefreshLogValueOnly verifies the CSR's O(1) stability check: after
-// a value-only change the refresh reports pattern stability, after a
-// structural change it reports a rebuild — and both leave the CSR exactly
-// matching the graph.
+// TestCSRRefreshLogValueOnly verifies the plan's O(1) stability check
+// against an edge log: after a value-only change the refresh reports
+// pattern stability, after a structural change it reports a re-emission —
+// and both leave the plan exactly matching the graph.
 func TestCSRRefreshLogValueOnly(t *testing.T) {
 	g, _ := NewLogGraph(6)
 	g.AddTrust(0, 1, 1)
 	g.AddTrust(1, 2, 2)
 	g.AddTrust(2, 0, 3)
-	c := NewCSR(g)
+	p := mustPlan(t, g, 1)
 	g.AddTrust(0, 1, 5) // existing edge: value-only
-	if !c.Refresh(g) {
+	if !p.Refresh(g) {
 		t.Error("value-only change should refresh in place")
 	}
 	ref, _ := NewTrustGraph(6)
 	ref.AddTrust(0, 1, 6)
 	ref.AddTrust(1, 2, 2)
 	ref.AddTrust(2, 0, 3)
-	if !reflect.DeepEqual(c.Dense(), expectedDense(ref)) {
-		t.Error("refreshed CSR does not match the graph")
+	if !reflect.DeepEqual(densify(p), expectedDense(ref)) {
+		t.Error("refreshed plan does not match the graph")
 	}
 	g.AddTrust(3, 4, 1) // new edge: structural
-	if c.Refresh(g) {
+	if p.Refresh(g) {
 		t.Error("structural change should rebuild")
 	}
 	ref.AddTrust(3, 4, 1)
-	if !reflect.DeepEqual(c.Dense(), expectedDense(ref)) {
-		t.Error("rebuilt CSR does not match the graph")
+	if !reflect.DeepEqual(densify(p), expectedDense(ref)) {
+		t.Error("rebuilt plan does not match the graph")
 	}
 }
 

@@ -1,7 +1,6 @@
 package reputation
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -25,6 +24,29 @@ func randomGraph(t *testing.T, n int, density float64, seed uint64) *TrustGraph 
 	return g
 }
 
+func mustWorkspace(t testing.TB, shards int) *EigenTrustWorkspace {
+	t.Helper()
+	ws, err := NewEigenTrustWorkspace(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// solveShards runs one solve on a fresh workspace with the given shard
+// count and returns a copy of the vector with the solve's stats.
+func solveShards(t testing.TB, g Graph, cfg EigenTrustConfig, shards int) ([]float64, SolveStats) {
+	t.Helper()
+	ws := mustWorkspace(t, shards)
+	v, err := ws.Compute(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), v...), ws.LastStats()
+}
+
+// TestEigenTrustParallelMatchesSerial pins the multi-goroutine K>1 solves
+// to the inline K=1 solve, bit for bit.
 func TestEigenTrustParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{5, 23, 64} {
 		g := randomGraph(t, n, 0.2, uint64(n))
@@ -33,140 +55,51 @@ func TestEigenTrustParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			par, err := EigenTrustParallel(g, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range serial {
-				if math.Abs(par[i]-serial[i]) > 1e-12 {
-					t.Fatalf("n=%d workers=%d: component %d differs: %v vs %v",
-						n, workers, i, par[i], serial[i])
-				}
+		for _, k := range []int{2, 4, 7} {
+			if par, _ := solveShards(t, g, cfg, k); !reflect.DeepEqual(par, serial) {
+				t.Fatalf("n=%d k=%d: sharded solve %v differs from serial %v", n, k, par, serial)
 			}
 		}
 	}
 }
 
 func TestEigenTrustParallelDeterministicAcrossRuns(t *testing.T) {
-	// Bit-identical results across repeated parallel runs — the fixed-order
-	// reduction guarantee.
+	// Bit-identical results across repeated multi-shard runs: goroutine
+	// scheduling never reaches the arithmetic.
 	g := randomGraph(t, 50, 0.25, 7)
 	cfg := DefaultEigenTrust()
-	first, err := EigenTrustParallel(g, cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, _ := solveShards(t, g, cfg, 8)
 	for run := 0; run < 5; run++ {
-		again, err := EigenTrustParallel(g, cfg, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("run %d: component %d not bit-identical", run, i)
-			}
+		if again, _ := solveShards(t, g, cfg, 8); !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d: not bit-identical", run)
 		}
 	}
 }
 
 func TestEigenTrustParallelValidation(t *testing.T) {
 	g := randomGraph(t, 5, 0.3, 1)
-	if _, err := EigenTrustParallel(g, EigenTrustConfig{Damping: 1, Epsilon: 1e-9, MaxIter: 5}, 2); err == nil {
+	ws := mustWorkspace(t, 2)
+	if _, err := ws.Compute(g, EigenTrustConfig{Damping: 1, Epsilon: 1e-9, MaxIter: 5}); err == nil {
 		t.Error("bad damping should fail")
 	}
-	if _, err := EigenTrustParallel(g, EigenTrustConfig{Damping: 0.1, Epsilon: 0, MaxIter: 5}, 2); err == nil {
+	if _, err := ws.Compute(g, EigenTrustConfig{Damping: 0.1, Epsilon: 0, MaxIter: 5}); err == nil {
 		t.Error("bad epsilon should fail")
 	}
-	if _, err := EigenTrustParallel(g, EigenTrustConfig{Damping: 0.1, Epsilon: 1e-9, MaxIter: 0}, 2); err == nil {
+	if _, err := ws.Compute(g, EigenTrustConfig{Damping: 0.1, Epsilon: 1e-9, MaxIter: 0}); err == nil {
 		t.Error("bad MaxIter should fail")
 	}
 	cfg := DefaultEigenTrust()
 	cfg.PreTrusted = []int{99}
-	if _, err := EigenTrustParallel(g, cfg, 2); err == nil {
+	if _, err := ws.Compute(g, cfg); err == nil {
 		t.Error("out-of-range pre-trusted should fail")
 	}
-	// More workers than peers must be fine.
-	if _, err := EigenTrustParallel(g, DefaultEigenTrust(), 64); err != nil {
-		t.Errorf("workers > n should clamp: %v", err)
+	// More shards than peers must be fine.
+	if _, err := mustWorkspace(t, 64).Compute(g, DefaultEigenTrust()); err != nil {
+		t.Errorf("shards > n should leave surplus shards empty: %v", err)
 	}
-	// workers <= 0 uses GOMAXPROCS.
-	if _, err := EigenTrustParallel(g, DefaultEigenTrust(), 0); err != nil {
-		t.Errorf("workers=0 should default: %v", err)
-	}
-}
-
-func TestMaxFlowTrustParallelMatchesSerial(t *testing.T) {
-	g := randomGraph(t, 30, 0.2, 11)
-	serial, err := MaxFlowTrust(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3, 8} {
-		par, err := MaxFlowTrustParallel(g, 0, workers)
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range []int{0, -1} {
+		if _, err := NewEigenTrustWorkspace(k); err == nil {
+			t.Errorf("NewEigenTrustWorkspace(%d) should fail", k)
 		}
-		for i := range serial {
-			if math.Abs(par[i]-serial[i]) > 1e-12 {
-				t.Fatalf("workers=%d: component %d differs", workers, i)
-			}
-		}
-	}
-	if _, err := MaxFlowTrustParallel(g, -1, 2); err == nil {
-		t.Error("bad evaluator should fail")
-	}
-}
-
-// TestMaxFlowTrustParallelDegenerateMatchesSerial pins the all-zero-flow
-// contract: when the evaluator reaches nobody — an empty graph, or an
-// evaluator with trust flowing only toward it — both paths return the
-// all-zero vector (normalization skipped) bit-identically, for every worker
-// count, instead of erroring or diverging.
-func TestMaxFlowTrustParallelDegenerateMatchesSerial(t *testing.T) {
-	cases := map[string]func(t *testing.T) Graph{
-		"empty": func(t *testing.T) Graph {
-			g, err := NewTrustGraph(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		},
-		"evaluator-unreachable": func(t *testing.T) Graph {
-			// Every edge points INTO peer 0; no flow can leave it.
-			g, err := NewLogGraph(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < 8; i++ {
-				if err := g.AddTrust(i, 0, float64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return g
-		},
-	}
-	for name, build := range cases {
-		t.Run(name, func(t *testing.T) {
-			g := build(t)
-			serial, err := MaxFlowTrust(g, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range serial {
-				if v != 0 {
-					t.Fatalf("serial component %d = %v, want the all-zero vector", i, v)
-				}
-			}
-			for _, workers := range []int{1, 3, 8} {
-				par, err := MaxFlowTrustParallel(g, 0, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(par, serial) {
-					t.Fatalf("workers=%d: parallel %v differs from serial %v", workers, par, serial)
-				}
-			}
-		})
 	}
 }

@@ -160,12 +160,14 @@ func TestEigenTrustPermutationEquivariance(t *testing.T) {
 }
 
 // TestEigenTrustWorkspaceComputeZeroAlloc pins the workspace-reuse
-// contract: steady-state serial recomputation allocates nothing.
+// contract: a steady-state K=1 solve allocates nothing — on the map graph's
+// probe refresh and on the edge log's dirty-row refresh.
 func TestEigenTrustWorkspaceComputeZeroAlloc(t *testing.T) {
-	g := randomGraph(t, 200, 0.08, 9)
 	cfg := DefaultEigenTrust()
 	cfg.PreTrusted = []int{0, 7}
-	ws := NewEigenTrustWorkspace()
+
+	g := randomGraph(t, 200, 0.08, 9)
+	ws := mustWorkspace(t, 1)
 	if _, err := ws.Compute(g, cfg); err != nil { // warm the buffers
 		t.Fatal(err)
 	}
@@ -173,8 +175,35 @@ func TestEigenTrustWorkspaceComputeZeroAlloc(t *testing.T) {
 		if _, err := ws.Compute(g, cfg); err != nil {
 			t.Fatal(err)
 		}
+		if !ws.LastStats().Refresh.PatternStable {
+			t.Fatal("expected the map probe refresh")
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Compute allocates %v objects/op, want 0", allocs)
+		t.Errorf("steady-state Compute (map probe) allocates %v objects/op, want 0", allocs)
+	}
+
+	lg := randomLogGraph(t, 200, 0.08, 9)
+	edges := lg.AppendEdges(nil)
+	lws := mustWorkspace(t, 1)
+	if _, err := lws.Compute(lg, cfg); err != nil {
+		t.Fatal(err)
+	}
+	step := 0
+	allocs = testing.AllocsPerRun(20, func() {
+		e := edges[step%len(edges)]
+		step++
+		if err := lg.AddTrust(e.From, e.To, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lws.Compute(lg, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !lws.LastStats().Refresh.DirtyOnly {
+			t.Fatal("expected the dirty-row refresh")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Compute (dirty rows) allocates %v objects/op, want 0", allocs)
 	}
 }

@@ -7,28 +7,20 @@ import (
 	"collabnet/internal/xrand"
 )
 
-// sliceRow extracts slice row r (sources and values) for comparison.
-func sliceRow(sl *ShardSlice, r int) ([]int32, []float64) {
-	lo, hi := sl.TRowPtr[r], sl.TRowPtr[r+1]
-	return sl.TColIdx[lo:hi], sl.TVal[lo:hi]
-}
-
 // TestShardPlanMatchesCSR pins the emission: for every shard count, the
-// concatenated slices must reproduce the global CSR's transposed layout
-// bit-for-bit — same sources in the same order, same normalized values,
-// same dangling list — and the shard ranges must tile [0, n).
+// concatenated slices must reproduce the single-slice (K=1) plan — the
+// global transposed layout — bit-for-bit: same sources in the same order, same
+// normalized values, same dangling list, with the shard ranges tiling
+// [0, n).
 func TestShardPlanMatchesCSR(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 10, 60} {
 		for _, density := range []float64{0, 0.1, 0.4} {
 			g := randomLogGraph(t, n, density, uint64(n)*31+uint64(density*100))
-			c := NewCSR(g.Clone())
-			for _, k := range []int{1, 2, 3, 5, 8, 64} {
-				p, err := NewShardPlan(g, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p.Shards() != k || p.Len() != n || p.NNZ() != c.NNZ() {
-					t.Fatalf("n=%d k=%d: plan shape %d/%d/%d vs CSR %d/%d", n, k, p.Shards(), p.Len(), p.NNZ(), n, c.NNZ())
+			whole := mustPlan(t, g.Clone(), 1).Slice(0)
+			for _, k := range []int{2, 3, 5, 8, 64} {
+				p := mustPlan(t, g, k)
+				if p.Shards() != k || p.Len() != n || p.NNZ() != whole.NNZ() {
+					t.Fatalf("n=%d k=%d: plan shape %d/%d/%d vs K=1 %d/%d", n, k, p.Shards(), p.Len(), p.NNZ(), n, whole.NNZ())
 				}
 				next := 0
 				for s := 0; s < k; s++ {
@@ -38,16 +30,13 @@ func TestShardPlanMatchesCSR(t *testing.T) {
 					}
 					next = sl.Hi
 					for r := 0; r < sl.Rows(); r++ {
-						j := sl.Lo + r
-						wantCols := c.tColIdx[c.tRowPtr[j]:c.tRowPtr[j+1]]
-						wantVals := c.tVal[c.tRowPtr[j]:c.tRowPtr[j+1]]
+						wantCols, wantVals := sliceRow(whole, sl.Lo+r)
 						gotCols, gotVals := sliceRow(sl, r)
-						if !reflect.DeepEqual(append([]int32{}, gotCols...), append([]int32{}, wantCols...)) ||
-							!reflect.DeepEqual(append([]float64{}, gotVals...), append([]float64{}, wantVals...)) {
-							t.Fatalf("n=%d k=%d: slice row for destination %d diverges from CSR transpose", n, k, j)
+						if !reflect.DeepEqual(gotCols, wantCols) || !reflect.DeepEqual(gotVals, wantVals) {
+							t.Fatalf("n=%d k=%d: slice row for destination %d diverges from K=1", n, k, sl.Lo+r)
 						}
 					}
-					if !reflect.DeepEqual(append([]int32{}, sl.Dangling...), append([]int32{}, c.dangling...)) {
+					if !reflect.DeepEqual(sl.Dangling, whole.Dangling) {
 						t.Fatalf("n=%d k=%d shard %d: dangling list diverges", n, k, s)
 					}
 				}
@@ -60,39 +49,23 @@ func TestShardPlanMatchesCSR(t *testing.T) {
 }
 
 // TestShardedColdBitIdenticalToSerial sweeps n × density × shard count and
-// pins that the cold sharded solve equals the serial workspace solve
-// bit-for-bit — vector, round count, and convergence flag — including
-// all-dangling graphs (density 0) and more shards than peers.
+// pins that the cold sharded solve equals the inline K=1 solve bit-for-bit
+// — vector, round count, and convergence flag — including all-dangling
+// graphs (density 0) and more shards than peers.
 func TestShardedColdBitIdenticalToSerial(t *testing.T) {
 	cfg := DefaultEigenTrust()
 	for _, n := range []int{1, 3, 10, 40, 150} {
 		for _, density := range []float64{0, 0.05, 0.3} {
 			g := randomLogGraph(t, n, density, uint64(n)*7+uint64(density*1000))
-			ws := NewEigenTrustWorkspace()
-			want, err := ws.Compute(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantStats := ws.LastStats()
-			for _, k := range []int{1, 2, 3, 5, 8, 32} {
-				got, err := EigenTrustSharded(g, cfg, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(append([]float64{}, got...), append([]float64{}, want...)) {
+			want, wantStats := solveShards(t, g, cfg, 1)
+			for _, k := range []int{2, 3, 5, 8, 32} {
+				got, st := solveShards(t, g, cfg, k)
+				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("n=%d density=%g k=%d: sharded cold solve diverges from serial", n, density, k)
 				}
-				sw, err := NewShardedWorkspace(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sw.Compute(g, cfg); err != nil {
-					t.Fatal(err)
-				}
-				st := sw.ShardStats()
-				if st.Rounds != wantStats.Iterations || st.Converged != wantStats.Converged {
+				if st.Iterations != wantStats.Iterations || st.Converged != wantStats.Converged {
 					t.Fatalf("n=%d density=%g k=%d: rounds/converged %d/%v vs serial %d/%v",
-						n, density, k, st.Rounds, st.Converged, wantStats.Iterations, wantStats.Converged)
+						n, density, k, st.Iterations, st.Converged, wantStats.Iterations, wantStats.Converged)
 				}
 			}
 		}
@@ -112,16 +85,9 @@ func TestShardedPreTrustedBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := NewEigenTrustWorkspace().Compute(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := solveShards(t, g, cfg, 1)
 	for _, k := range []int{2, 4, 7} {
-		got, err := EigenTrustSharded(g, cfg, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(append([]float64{}, got...), append([]float64{}, want...)) {
+		if got, _ := solveShards(t, g, cfg, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: pre-trusted sharded solve diverges from serial", k)
 		}
 	}
@@ -136,19 +102,15 @@ func TestShardedWarmLockstepWithSerial(t *testing.T) {
 	cfg := DefaultEigenTrust()
 	n := 60
 	serialG := randomLogGraph(t, n, 0.12, 97)
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	type arm struct {
 		k  int
 		g  *LogGraph
-		sw *ShardedWorkspace
+		sw *EigenTrustWorkspace
 	}
 	var arms []arm
 	for _, k := range []int{2, 3, 8} {
-		sw, err := NewShardedWorkspace(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arms = append(arms, arm{k: k, g: randomLogGraph(t, n, 0.12, 97), sw: sw})
+		arms = append(arms, arm{k: k, g: randomLogGraph(t, n, 0.12, 97), sw: mustWorkspace(t, k)})
 	}
 	rng := xrand.New(13)
 	var ops [][3]int // replayed identically onto every arm's graph
@@ -185,7 +147,7 @@ func TestShardedWarmLockstepWithSerial(t *testing.T) {
 				t.Fatalf("step %d k=%d: iteration counts diverge (%d vs %d)",
 					step, a.k, a.sw.LastStats().Iterations, ws.LastStats().Iterations)
 			}
-			if step > 0 && !a.sw.ShardStats().Warm {
+			if step > 0 && !a.sw.LastStats().Warm {
 				t.Fatalf("step %d k=%d: expected a warm sharded solve", step, a.k)
 			}
 		}
@@ -223,11 +185,8 @@ func TestShardedChurnProperty(t *testing.T) {
 		k := 2 + rng.Intn(6)
 		serialG := randomLogGraph(t, n, 0.1, seed*11)
 		shardG := randomLogGraph(t, n, 0.1, seed*11)
-		ws := NewEigenTrustWorkspace()
-		sw, err := NewShardedWorkspace(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws := mustWorkspace(t, 1)
+		sw := mustWorkspace(t, k)
 		for step := 0; step < 15; step++ {
 			for c := 0; c < 1+rng.Intn(7); c++ {
 				i, j := rng.Intn(n), rng.Intn(n)
@@ -332,16 +291,13 @@ func TestShardPlanDirtyRefresh(t *testing.T) {
 }
 
 // TestShardPlanMultiConsumerFallback pins the consumption protocol across
-// consumer types: a CSR and a ShardPlan following one log each fall back to
-// the full value copy — reported as such, never silently — when the other
-// consumed a dirty span first, and stay exact.
+// plans of different shard counts: two plans following one log each fall
+// back to the full value pass — reported as such, never silently — when the
+// other consumed a dirty span first, and stay exact.
 func TestShardPlanMultiConsumerFallback(t *testing.T) {
 	g := randomLogGraph(t, 30, 0.2, 13)
-	c := NewCSR(g)
-	p, err := NewShardPlan(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustPlan(t, g, 1)
+	p := mustPlan(t, g, 3)
 	bump := func() {
 		if err := g.AddTrust(3, firstEdge(t, g, 3), 0.5); err != nil {
 			t.Fatal(err)
@@ -349,64 +305,55 @@ func TestShardPlanMultiConsumerFallback(t *testing.T) {
 	}
 
 	bump()
-	c.Refresh(g) // consumes; bumps the generation past the plan's record
+	c.Refresh(g) // consumes; bumps the generation past p's record
 	if !c.LastRefresh().DirtyOnly {
-		t.Fatalf("CSR should take the dirty path, got %+v", c.LastRefresh())
+		t.Fatalf("K=1 plan should take the dirty path, got %+v", c.LastRefresh())
 	}
 	bump()
 	if !p.Refresh(g) {
 		t.Fatal("missed span must not force a re-emission")
 	}
 	if st := p.LastRefresh(); st.DirtyOnly || !st.PatternStable || st.RowsTouched != 30 {
-		t.Fatalf("expected full value-copy fallback, got %+v", st)
+		t.Fatalf("expected full value-pass fallback, got %+v", st)
 	}
-	fresh, err := NewShardPlan(g.Clone(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Slices(), fresh.Slices()) {
+	if !reflect.DeepEqual(p.Slices(), mustPlan(t, g.Clone(), 3).Slices()) {
 		t.Fatal("fallback refresh diverges from fresh emission")
 	}
-	// And the CSR missed the plan's consumption in turn.
+	// And the K=1 plan missed p's consumption in turn.
 	bump()
 	c.Refresh(g)
 	if c.LastRefresh().DirtyOnly {
-		t.Fatal("CSR with a missed span took the dirty path")
+		t.Fatal("K=1 plan with a missed span took the dirty path")
 	}
-	if !reflect.DeepEqual(c.Dense(), NewCSR(g.Clone()).Dense()) {
-		t.Fatal("CSR fallback refresh diverges from rebuild")
+	if !reflect.DeepEqual(densify(c), densify(mustPlan(t, g.Clone(), 1))) {
+		t.Fatal("K=1 fallback refresh diverges from rebuild")
 	}
 }
 
 // TestShardedStatsAccounting pins the exchange accounting: the start
 // broadcast ships K full vectors and each round every destination range
 // crosses the wire K times (K−1 peers plus the combiner), so
-// BytesExchanged = 8nK(1+rounds) exactly; the per-shard rows/nnz must tile
-// the matrix.
+// BytesExchanged = 8nK(1+rounds) exactly for K>1, while the inline K=1
+// solve exchanges nothing; the per-shard rows/nnz must tile the matrix.
 func TestShardedStatsAccounting(t *testing.T) {
 	g := randomLogGraph(t, 50, 0.15, 47)
-	c := NewCSR(g.Clone())
 	cfg := DefaultEigenTrust()
 	for _, k := range []int{1, 2, 4, 9} {
-		sw, err := NewShardedWorkspace(k)
-		if err != nil {
-			t.Fatal(err)
+		_, st := solveShards(t, g, cfg, k)
+		wantBytes := int64(8*50*k) * int64(1+st.Iterations)
+		if k == 1 {
+			wantBytes = 0
 		}
-		if _, err := sw.Compute(g, cfg); err != nil {
-			t.Fatal(err)
-		}
-		st := sw.ShardStats()
-		wantBytes := int64(8*50*k) * int64(1+st.Rounds)
-		if st.BytesExchanged != wantBytes {
-			t.Fatalf("k=%d: BytesExchanged = %d, want %d", k, st.BytesExchanged, wantBytes)
+		if st.Shards != k || st.BytesExchanged != wantBytes {
+			t.Fatalf("k=%d: Shards = %d, BytesExchanged = %d, want %d", k, st.Shards, st.BytesExchanged, wantBytes)
 		}
 		rows, nnz := 0, 0
 		for s := 0; s < k; s++ {
 			rows += st.ShardRows[s]
 			nnz += st.ShardNNZ[s]
 		}
-		if rows != 50 || nnz != c.NNZ() {
-			t.Fatalf("k=%d: shard split covers %d rows / %d nnz, want 50 / %d", k, rows, nnz, c.NNZ())
+		if rows != 50 || nnz != g.NNZ() {
+			t.Fatalf("k=%d: shard split covers %d rows / %d nnz, want 50 / %d", k, rows, nnz, g.NNZ())
 		}
 	}
 }
@@ -417,15 +364,12 @@ func TestShardedStatsAccounting(t *testing.T) {
 func TestShardedSeedWarm(t *testing.T) {
 	cfg := DefaultEigenTrust()
 	g := randomLogGraph(t, 45, 0.15, 53)
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	first, err := ws.Compute(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := NewShardedWorkspace(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := mustWorkspace(t, 3)
 	sw.SeedWarm(first)
 	for i := 0; i < 10; i++ {
 		if err := g.AddTrust(i, firstEdge(t, g, i), 0.1); err != nil {
@@ -440,7 +384,7 @@ func TestShardedSeedWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sw.ShardStats().Warm {
+	if !sw.LastStats().Warm {
 		t.Fatal("seeded workspace solved cold")
 	}
 	if !reflect.DeepEqual(append([]float64{}, got...), append([]float64{}, want...)) {
@@ -450,22 +394,79 @@ func TestShardedSeedWarm(t *testing.T) {
 	if _, err := sw.Compute(g.Clone(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if sw.ShardStats().Warm {
+	if sw.LastStats().Warm {
 		t.Fatal("ResetWarm did not force a cold solve")
+	}
+}
+
+// TestShardedSeedWarmAfterRestore is the warm-restart round trip at K>1:
+// the edges and vector a K=1 solver saved, loaded into a fresh store and
+// seeded into a fresh sharded workspace, must continue warm and
+// bit-identically to the original through later churn.
+func TestShardedSeedWarmAfterRestore(t *testing.T) {
+	cfg := DefaultEigenTrust()
+	g := randomLogGraph(t, 40, 0.12, 29)
+	ws := mustWorkspace(t, 1)
+	v, err := ws.Compute(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, edges := append([]float64(nil), v...), g.AppendEdges(nil)
+	for _, k := range []int{2, 3, 8} {
+		orig, origWS := g.Clone(), mustWorkspace(t, 1)
+		origWS.SeedWarm(saved)
+		restored, err := NewLogGraph(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.LoadEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		sw := mustWorkspace(t, k)
+		sw.SeedWarm(saved)
+		rng := xrand.New(uint64(k))
+		for step := 0; step < 4; step++ {
+			for c := 0; c < 15; c++ {
+				d, s := rng.Intn(40), rng.Intn(40)
+				if d == s {
+					continue
+				}
+				if err := orig.AddTrust(d, s, 2); err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.AddTrust(d, s, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := origWS.Compute(orig, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.Compute(restored, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sw.LastStats().Warm {
+				t.Fatalf("k=%d step %d: restored sharded solver ran cold", k, step)
+			}
+			if !reflect.DeepEqual(append([]float64(nil), got...), append([]float64(nil), want...)) {
+				t.Fatalf("k=%d step %d: restored sharded solve diverges", k, step)
+			}
+		}
 	}
 }
 
 // TestShardedErrors pins the constructor and configuration error paths.
 func TestShardedErrors(t *testing.T) {
-	if _, err := NewShardedWorkspace(0); err == nil {
-		t.Fatal("NewShardedWorkspace(0) should fail")
+	if _, err := NewEigenTrustWorkspace(0); err == nil {
+		t.Fatal("NewEigenTrustWorkspace(0) should fail")
 	}
 	if _, err := NewShardPlan(randomLogGraph(t, 5, 0.3, 1), 0); err == nil {
 		t.Fatal("NewShardPlan(k=0) should fail")
 	}
 	bad := DefaultEigenTrust()
 	bad.Damping = 1.5
-	if _, err := EigenTrustSharded(randomLogGraph(t, 5, 0.3, 1), bad, 2); err == nil {
+	if _, err := mustWorkspace(t, 2).Compute(randomLogGraph(t, 5, 0.3, 1), bad); err == nil {
 		t.Fatal("invalid config should fail")
 	}
 }

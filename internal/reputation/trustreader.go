@@ -119,7 +119,11 @@ func NewTrustSolver(g Graph, cfg EigenTrustConfig) (*TrustSolver, error) {
 	if g == nil {
 		return nil, fmt.Errorf("reputation: NewTrustSolver(nil graph)")
 	}
-	return &TrustSolver{g: g, ws: NewEigenTrustWorkspace(), cfg: cfg}, nil
+	ws, err := NewEigenTrustWorkspace(1)
+	if err != nil {
+		return nil, err
+	}
+	return &TrustSolver{g: g, ws: ws, cfg: cfg}, nil
 }
 
 // Solve recomputes the trust vector from the current graph state and

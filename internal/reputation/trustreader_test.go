@@ -117,7 +117,7 @@ func TestConcurrentGraphTrustReaderMatchesSolver(t *testing.T) {
 		t.Fatal("concurrent reader should be empty before the first publish")
 	}
 	seedReaderGraph(t, cg)
-	ws := NewEigenTrustWorkspace()
+	ws := mustWorkspace(t, 1)
 	var vec []float64
 	var solveErr error
 	seq := cg.Exclusive(func(inner *LogGraph) {

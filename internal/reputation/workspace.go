@@ -1,40 +1,44 @@
 package reputation
 
 import (
+	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
-// EigenTrustWorkspace holds everything a repeated EigenTrust computation
-// needs — the CSR matrix, the iteration vectors, and the parallel-iteration
-// machinery — so that steady-state recomputation allocates nothing:
+// EigenTrustWorkspace is the EigenTrust solver: it holds the ShardPlan (the
+// normalized trust matrix cut into K destination-range slices), the
+// iteration vectors, and the warm-start state, so that steady-state
+// recomputation reuses every buffer:
 //
-//   - The CSR is refreshed in place while the graph's sparsity pattern is
-//     stable (the common case when trust merely accumulates on existing
-//     edges) and rebuilt into the same buffers when edges appear or vanish.
-//   - The pre-trust, iteration, and scratch vectors are reused across calls.
-//   - Compute (serial) performs no allocation at all once the buffers have
-//     grown to the graph's size; ComputeParallel additionally spawns its
-//     worker goroutines per call (a handful of small allocations, constant
-//     in n and nnz).
+//   - The plan is value-refreshed in place while the graph's sparsity
+//     pattern is stable (the common case when trust merely accumulates on
+//     existing edges) and re-emitted into the same buffers otherwise.
+//   - The pre-trust, iteration, and exchange vectors are reused across
+//     calls.
+//
+// K=1 runs the gather inline on the caller's goroutine, with no goroutines
+// or channels; once the buffers have grown to the graph's size its solves
+// allocate nothing. K>1 runs the message-passing protocol described on
+// runShards: one goroutine per shard, each holding only its slice, with the
+// caller's goroutine as the combiner. Every float64 that crosses a channel
+// is payload a real transport would carry, counted in
+// SolveStats.BytesExchanged.
 //
 // Determinism guarantee: the returned vector is a pure function of the
-// graph and the configuration — identical across runs, across worker
-// counts (workers=1 and workers=max are bit-identical), and identical to
-// the dense reference EigenTrustDense. This holds because every output
-// component is a gather over the transposed CSR whose accumulation order is
-// fixed by the layout, the dangling and convergence sums run serially in
-// index order, and the teleportation arithmetic is the same expression
-// everywhere.
+// graph, the configuration, and the warm-start state — identical across
+// runs, across shard counts, and (cold) identical to the dense reference
+// EigenTrustDense. Every output component is one dot product over a slice
+// row whose source order is fixed by the layout, the dangling, convergence,
+// and renormalization sums run serially in index order at one site, and
+// the teleportation arithmetic is the same expression everywhere.
 //
 // The returned slice is owned by the workspace and valid until the next
-// Compute/ComputeParallel call; callers that need to retain it must copy.
-// A workspace is not safe for concurrent use.
+// Compute call; callers that need to retain it must copy. A workspace is
+// not safe for concurrent use.
 type EigenTrustWorkspace struct {
-	csr     CSR
+	plan    ShardPlan
 	p       []float64 // pre-trust distribution
-	t, next []float64 // iteration vectors (swapped each step)
+	t, next []float64 // combiner iteration vectors (swapped each round)
 
 	// Warm-start state: the previous solve's eigenvector. The next solve
 	// starts from it (instead of the pre-trust vector) when prevN matches
@@ -45,40 +49,57 @@ type EigenTrustWorkspace struct {
 
 	stats SolveStats // what the most recent solve did
 
-	// Per-iteration parameters the workers read; set before each barrier.
-	workers  int
-	damping  float64
-	dmass    float64
-	src, dst []float64
-
-	start  []chan int     // per-worker: 1 = run one iteration slice, 0 = exit
-	done   sync.WaitGroup // per-iteration barrier
-	exited sync.WaitGroup // per-run join: all workers gone before run returns
+	// Per-shard persistent buffers for K>1, indexed by shard.
+	tBuf     [][]float64 // shard's assembled full t-vector
+	outBuf   [][]float64 // shard's gather output (its own range)
+	pBuf     [][]float64 // shard's pre-trust range copy
+	startBuf [][]float64 // combiner→shard start-vector copies
+	// linkBuf[from][to][parity] is the double-buffered payload for the
+	// from→to link; to == K addresses the combiner.
+	linkBuf [][][2][]float64
 }
 
-// NewEigenTrustWorkspace returns an empty workspace; buffers are sized on
-// first use and grown only when the graph outgrows them.
-func NewEigenTrustWorkspace() *EigenTrustWorkspace {
-	return &EigenTrustWorkspace{}
-}
-
-// SolveStats describes what one Compute/ComputeParallel call did: how hard
-// the iteration worked and which refresh path fed it. It is the
-// observability surface ISSUE 9 threads up through GlobalTrust and
-// /v1/stats, and it fixes the old silent-MaxIter bug: a solve that ran out
-// of iterations without meeting Epsilon now reports Converged == false.
+// SolveStats describes what one Compute call did: how hard the iteration
+// worked, which refresh path fed it, and how the work was split across
+// shards.
 type SolveStats struct {
-	Iterations int  // power iterations executed (≥ 1)
+	Iterations int  // power-iteration rounds executed (≥ 1)
 	Converged  bool // the L1 delta dropped below Epsilon within MaxIter
 	Warm       bool // started from the previous eigenvector, not pre-trust
 	Refresh    RefreshStats
+
+	// Shards is the shard count K the solve ran with.
+	Shards int
+	// BytesExchanged counts every float64 of t-vector payload that crossed
+	// a channel, at 8 bytes each: the start-vector broadcast (K·8n) plus
+	// each round's all-to-all slice exchange (K·8n per round, counting the
+	// combiner as a destination). The inline K=1 solve exchanges nothing.
+	BytesExchanged int64
+	// ShardRows/ShardNNZ give the per-shard split of destinations and of
+	// matrix entries — the per-round work each shard performs. They are
+	// never mutated after a solve returns; a later solve with the same
+	// split shares them.
+	ShardRows []int
+	ShardNNZ  []int
 }
 
-// CSR exposes the workspace's current matrix (for inspection and tests).
-func (ws *EigenTrustWorkspace) CSR() *CSR { return &ws.csr }
+// NewEigenTrustWorkspace returns an empty solver that runs with the given
+// shard count. shards must be at least 1; more shards than peers is allowed
+// (surplus shards own empty ranges and only relay). Buffers are sized on
+// first use and grown only when the graph outgrows them.
+func NewEigenTrustWorkspace(shards int) (*EigenTrustWorkspace, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("reputation: EigenTrust solver needs at least 1 shard, got %d", shards)
+	}
+	return &EigenTrustWorkspace{plan: ShardPlan{k: shards, slices: make([]ShardSlice, shards)}}, nil
+}
 
-// LastStats returns what the most recent Compute/ComputeParallel call did.
-// Zero-valued before the first solve.
+// Plan exposes the workspace's current shard plan (for inspection and
+// tests); empty before the first Compute.
+func (ws *EigenTrustWorkspace) Plan() *ShardPlan { return &ws.plan }
+
+// LastStats returns what the most recent Compute call did. Zero-valued
+// before the first solve.
 func (ws *EigenTrustWorkspace) LastStats() SolveStats { return ws.stats }
 
 // SeedWarm installs vec as the workspace's previous eigenvector, exactly as
@@ -94,29 +115,17 @@ func (ws *EigenTrustWorkspace) SeedWarm(vec []float64) {
 // ResetWarm discards the warm-start state; the next solve runs cold.
 func (ws *EigenTrustWorkspace) ResetWarm() { ws.prevN = 0 }
 
-// Compute runs the serial sparse power iteration on g and returns the
-// global trust vector. Steady-state calls (same graph size, stable sparsity
-// pattern) allocate nothing.
+// Compute runs the power iteration on g and returns the global trust
+// vector. The result must be a probability distribution: a vector with a
+// non-finite component or a sum off 1 by more than 1e-9 (finite weights can
+// still overflow a row sum) is reported as an error, and the warm-start
+// state is left as it was.
 func (ws *EigenTrustWorkspace) Compute(g Graph, cfg EigenTrustConfig) ([]float64, error) {
-	return ws.run(g, cfg, 1)
-}
-
-// ComputeParallel is Compute with the gather phase partitioned across
-// workers (0 = GOMAXPROCS). Results are bit-identical to Compute for every
-// worker count.
-func (ws *EigenTrustWorkspace) ComputeParallel(g Graph, cfg EigenTrustConfig, workers int) ([]float64, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return ws.run(g, cfg, workers)
-}
-
-func (ws *EigenTrustWorkspace) run(g Graph, cfg EigenTrustConfig, workers int) ([]float64, error) {
 	n := g.Len()
 	if err := cfg.validate(n); err != nil {
 		return nil, err
 	}
-	ws.csr.Refresh(g)
+	ws.plan.Refresh(g)
 
 	ws.p = growFloats(ws.p, n)
 	ws.t = growFloats(ws.t, n)
@@ -129,46 +138,29 @@ func (ws *EigenTrustWorkspace) run(g Graph, cfg EigenTrustConfig, workers int) (
 		copy(ws.t, ws.p)
 	}
 
-	if workers > n {
-		workers = n
+	var iters int
+	var converged bool
+	var bytes int64
+	if ws.plan.k == 1 {
+		iters, converged = ws.runInline(cfg)
+	} else {
+		iters, converged, bytes = ws.runShards(cfg)
 	}
-	ws.workers = workers
-	ws.damping = cfg.Damping
-	if workers > 1 {
-		ws.spawnWorkers(workers)
-		defer ws.stopWorkers(workers)
+	rows, nnz := ws.shardSplit()
+	ws.stats = SolveStats{
+		Iterations:     iters,
+		Converged:      converged,
+		Warm:           warm,
+		Refresh:        ws.plan.LastRefresh(),
+		Shards:         ws.plan.k,
+		BytesExchanged: bytes,
+		ShardRows:      rows,
+		ShardNNZ:       nnz,
 	}
 
-	iters, converged := 0, false
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		ws.src, ws.dst = ws.t, ws.next
-		ws.dmass = ws.csr.danglingMass(ws.t)
-		if workers > 1 {
-			ws.done.Add(workers)
-			for w := 0; w < workers; w++ {
-				ws.start[w] <- 1
-			}
-			ws.done.Wait()
-		} else {
-			ws.gatherRange(0, n)
-		}
-		// The convergence sum runs serially in index order so the stopping
-		// decision — and with it the iteration count — is identical for
-		// every worker count.
-		delta := 0.0
-		for j := 0; j < n; j++ {
-			delta += math.Abs(ws.next[j] - ws.t[j])
-		}
-		ws.t, ws.next = ws.next, ws.t
-		iters++
-		if delta < cfg.Epsilon {
-			converged = true
-			break
-		}
-	}
 	// Final renormalization sheds the few-ulp drift that row-normalization
-	// rounding accumulates over the iterations, so the result sums to 1 to
-	// near machine precision (again in fixed index order).
+	// rounding accumulates over the iterations (again in fixed index
+	// order), then the post-condition checks the result is a distribution.
 	sum := 0.0
 	for _, x := range ws.t {
 		sum += x
@@ -178,71 +170,230 @@ func (ws *EigenTrustWorkspace) run(g Graph, cfg EigenTrustConfig, workers int) (
 			ws.t[j] /= sum
 		}
 	}
+	sum = 0
+	for _, x := range ws.t {
+		sum += x
+	}
+	// A non-finite component makes the sum non-finite, and the negated
+	// comparison also catches NaN.
+	if !(math.Abs(sum-1) <= 1e-9) {
+		return nil, fmt.Errorf("reputation: EigenTrust vector is not a finite distribution (sums to %v)", sum)
+	}
 	ws.prev = growFloats(ws.prev, n)
 	copy(ws.prev, ws.t)
 	ws.prevN = n
-	ws.stats = SolveStats{
-		Iterations: iters,
-		Converged:  converged,
-		Warm:       warm,
-		Refresh:    ws.csr.LastRefresh(),
-	}
 	return ws.t, nil
 }
 
-// gatherRange computes dst[j] for j in [lo, hi): one dot product over the
-// transposed CSR row plus the analytic dangling and teleportation terms.
-// Every component's arithmetic is independent of the partition, which is
-// what makes serial and parallel runs bit-identical.
-func (ws *EigenTrustWorkspace) gatherRange(lo, hi int) {
-	a := ws.damping
-	om := 1 - a
-	dm := ws.dmass
-	src, dst, p := ws.src, ws.dst, ws.p
-	tp, tc, tv := ws.csr.tRowPtr, ws.csr.tColIdx, ws.csr.tVal
-	for j := lo; j < hi; j++ {
-		s := 0.0
-		for k := tp[j]; k < tp[j+1]; k++ {
-			s += src[tc[k]] * tv[k]
+// runInline is the K=1 solve: the gather over the single slice on the
+// caller's goroutine.
+func (ws *EigenTrustWorkspace) runInline(cfg EigenTrustConfig) (iters int, converged bool) {
+	sl := &ws.plan.slices[0]
+	for iter := 0; iter < cfg.MaxIter; iter++ {
+		sl.gather(ws.next, ws.t, ws.p, cfg.Damping, sl.danglingMass(ws.t))
+		delta := l1Delta(ws.next, ws.t)
+		ws.t, ws.next = ws.next, ws.t
+		iters++
+		if delta < cfg.Epsilon {
+			return iters, true
 		}
-		dst[j] = om*(s+dm*p[j]) + a*p[j]
 	}
+	return iters, false
 }
 
-// spawnWorkers starts one goroutine per worker for the duration of a run,
-// reusing the start channels across calls.
-func (ws *EigenTrustWorkspace) spawnWorkers(workers int) {
-	for len(ws.start) < workers {
-		ws.start = append(ws.start, make(chan int, 1))
+// l1Delta is the convergence sum, run serially in index order so the
+// stopping decision — and with it the iteration count — is identical for
+// every shard count.
+func l1Delta(a, b []float64) float64 {
+	delta := 0.0
+	for j := range a {
+		delta += math.Abs(a[j] - b[j])
 	}
-	ws.exited.Add(workers)
-	for w := 0; w < workers; w++ {
-		go ws.powerWorker(w)
-	}
+	return delta
 }
 
-// stopWorkers tells every worker to exit and joins them, so no goroutine
-// from this run survives into a later one — the channels are drained and
-// idle when the next spawnWorkers reuses them.
-func (ws *EigenTrustWorkspace) stopWorkers(workers int) {
-	for w := 0; w < workers; w++ {
-		ws.start[w] <- 0
+// shardSplit returns the per-shard rows/nnz for the stats, reusing the last
+// published slices when the split is unchanged so steady-state solves
+// allocate nothing and published stats stay immutable.
+func (ws *EigenTrustWorkspace) shardSplit() (rows, nnz []int) {
+	rows, nnz = ws.stats.ShardRows, ws.stats.ShardNNZ
+	same := len(rows) == ws.plan.k
+	for s := 0; same && s < ws.plan.k; s++ {
+		sl := &ws.plan.slices[s]
+		same = rows[s] == sl.Rows() && nnz[s] == sl.NNZ()
 	}
-	ws.exited.Wait()
+	if same {
+		return rows, nnz
+	}
+	rows, nnz = make([]int, ws.plan.k), make([]int, ws.plan.k)
+	for s := range rows {
+		rows[s] = ws.plan.slices[s].Rows()
+		nnz[s] = ws.plan.slices[s].NNZ()
+	}
+	return rows, nnz
 }
 
-// powerWorker owns the destination range [w·n/W, (w+1)·n/W) and processes
-// one gather per start signal until told to exit. The channel send/receive
-// pairs order the worker's reads of the workspace fields after the
-// coordinator's writes.
-func (ws *EigenTrustWorkspace) powerWorker(w int) {
-	defer ws.exited.Done()
-	for cmd := range ws.start[w] {
-		if cmd == 0 {
-			return
+// runShards is the K>1 solve. Shards communicate only by message passing —
+// goroutines and channels stand in for network processes, and shards never
+// read each other's memory, only the immutable shard topology and the
+// buffers handed to them over channels. Round protocol, per solve:
+//
+//  1. The combiner (the caller's goroutine) has refreshed the plan and
+//     picked the start vector; it broadcasts that vector to every shard.
+//  2. Each round, every shard computes the dangling mass from its own
+//     assembled copy of the full t-vector, gathers its output range, and
+//     sends a copy of that slice to each of the other K−1 shards and to
+//     the combiner (an all-to-all exchange); it then assembles the next
+//     full t-vector from its own slice plus the K−1 received ones.
+//  3. The combiner assembles the full next vector from the K slices,
+//     computes the L1 delta serially in full index order — the identical
+//     loop the inline solve runs, so the stopping decision and the round
+//     count are the same for every K — and broadcasts one continue/stop
+//     decision. (Summing per-shard partial deltas would regroup the float
+//     additions and could flip the stopping decision.)
+//
+// Per-link send buffers are double-buffered by round parity: a sender may
+// be a full round ahead of a slow receiver, never two, because the
+// combiner's round-r decision is only sent after every round-r slice
+// arrived, which transitively means every round-(r−1) buffer has been
+// consumed. Channels are created per solve, so no message can survive into
+// a later solve.
+func (ws *EigenTrustWorkspace) runShards(cfg EigenTrustConfig) (rounds int, converged bool, bytes int64) {
+	k, n := ws.plan.k, ws.plan.n
+	ws.ensureShardBuffers(n)
+
+	// slCh[from][to] carries from's output slice to shard to; cmbCh[s]
+	// carries shard s's slice to the combiner; decCh fans the combiner's
+	// continue/stop decision out; startCh delivers the start vector.
+	slCh := make([][]chan []float64, k)
+	for a := 0; a < k; a++ {
+		slCh[a] = make([]chan []float64, k)
+		for b := 0; b < k; b++ {
+			if a != b {
+				slCh[a][b] = make(chan []float64, 1)
+			}
 		}
-		n := ws.csr.n
-		ws.gatherRange(w*n/ws.workers, (w+1)*n/ws.workers)
-		ws.done.Done()
+	}
+	cmbCh := make([]chan []float64, k)
+	decCh := make([]chan bool, k)
+	startCh := make([]chan []float64, k)
+	sent := make(chan int64, k)
+	for s := 0; s < k; s++ {
+		cmbCh[s] = make(chan []float64, 1)
+		decCh[s] = make(chan bool, 1)
+		startCh[s] = make(chan []float64, 1)
+	}
+	for s := 0; s < k; s++ {
+		go ws.shardMain(s, cfg.Damping, slCh, cmbCh[s], decCh[s], startCh[s], sent)
+	}
+
+	for s := 0; s < k; s++ {
+		copy(ws.startBuf[s], ws.t)
+		startCh[s] <- ws.startBuf[s]
+		bytes += 8 * int64(n)
+	}
+	for iter := 0; iter < cfg.MaxIter; iter++ {
+		for s := 0; s < k; s++ {
+			sl := <-cmbCh[s]
+			lo := ws.plan.slices[s].Lo
+			copy(ws.next[lo:lo+len(sl)], sl)
+		}
+		delta := l1Delta(ws.next, ws.t)
+		ws.t, ws.next = ws.next, ws.t
+		rounds++
+		converged = delta < cfg.Epsilon
+		cont := !converged && iter+1 < cfg.MaxIter
+		for s := 0; s < k; s++ {
+			decCh[s] <- cont
+		}
+		if !cont {
+			break
+		}
+	}
+	for s := 0; s < k; s++ {
+		bytes += <-sent
+	}
+	return rounds, converged, bytes
+}
+
+// shardMain is one shard's solve loop. It touches only its own slice, its
+// own buffers, and the channels; everything else it learns arrives as a
+// message. Receives iterate over peers in fixed index order — no select —
+// so the protocol itself is deterministic, not just the arithmetic. At the
+// end it reports the payload bytes it sent.
+func (ws *EigenTrustWorkspace) shardMain(s int, damping float64, slCh [][]chan []float64, cmb chan []float64, dec chan bool, start chan []float64, sent chan int64) {
+	k := ws.plan.k
+	sl := &ws.plan.slices[s]
+	rows := sl.Rows()
+	t, out, p := ws.tBuf[s], ws.outBuf[s], ws.pBuf[s]
+	bytes := int64(0)
+
+	copy(t, <-start)
+	parity := 0
+	for {
+		sl.gather(out, t, p, damping, sl.danglingMass(t))
+		for to := 0; to <= k; to++ {
+			if to == s {
+				continue
+			}
+			buf := ws.linkBuf[s][to][parity]
+			copy(buf, out)
+			if to == k {
+				cmb <- buf
+			} else {
+				slCh[s][to] <- buf
+			}
+			bytes += 8 * int64(rows)
+		}
+
+		// Assemble next round's full t: own slice locally, the rest from
+		// the wire.
+		copy(t[sl.Lo:sl.Hi], out)
+		for from := 0; from < k; from++ {
+			if from == s {
+				continue
+			}
+			in := <-slCh[from][s]
+			lo := ws.plan.slices[from].Lo
+			copy(t[lo:lo+len(in)], in)
+		}
+		if !<-dec {
+			break
+		}
+		parity ^= 1
+	}
+	sent <- bytes
+}
+
+// ensureShardBuffers (re)sizes every per-shard buffer for an n-peer solve,
+// reusing backing arrays, and fills each shard's pre-trust range copy.
+func (ws *EigenTrustWorkspace) ensureShardBuffers(n int) {
+	k := ws.plan.k
+	if len(ws.tBuf) != k {
+		ws.tBuf = make([][]float64, k)
+		ws.outBuf = make([][]float64, k)
+		ws.pBuf = make([][]float64, k)
+		ws.startBuf = make([][]float64, k)
+		ws.linkBuf = make([][][2][]float64, k)
+		for s := 0; s < k; s++ {
+			ws.linkBuf[s] = make([][2][]float64, k+1)
+		}
+	}
+	for s := 0; s < k; s++ {
+		sl := &ws.plan.slices[s]
+		rows := sl.Rows()
+		ws.tBuf[s] = growFloats(ws.tBuf[s], n)
+		ws.outBuf[s] = growFloats(ws.outBuf[s], rows)
+		ws.pBuf[s] = growFloats(ws.pBuf[s], rows)
+		copy(ws.pBuf[s], ws.p[sl.Lo:sl.Hi])
+		ws.startBuf[s] = growFloats(ws.startBuf[s], n)
+		for to := 0; to <= k; to++ {
+			if to == s {
+				continue
+			}
+			for par := 0; par < 2; par++ {
+				ws.linkBuf[s][to][par] = growFloats(ws.linkBuf[s][to][par], rows)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@
 //
 //   - The read plane (GET /v1/reputation, /v1/top, /v1/alloc, /v1/trust)
 //     serves from the last published reputation.TrustSnapshot — one atomic
-//     load — and from epoch-pinned CSR reads (Acquire/Release). Both are
+//     load — and from epoch-pinned adjacency reads (Acquire/Release). Both are
 //     lock-free and allocation-light, and neither can be blocked by the
 //     write plane or by an in-flight solve: readers pin epochs, they never
 //     wait for the publisher. This is what keeps query tail latency flat

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"collabnet/internal/incentive"
 	"collabnet/internal/reputation"
@@ -376,5 +377,57 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	// Missing file is a cold start, not an error.
 	if _, err := New(Config{Peers: 8, SnapshotPath: filepath.Join(dir, "absent.snap")}); err != nil {
 		t.Fatalf("absent snapshot should cold-start: %v", err)
+	}
+}
+
+// TestE2EOverflowKeepsLastGoodSnapshot drives the solver post-condition
+// through the HTTP surface: two accepted contributions of w=1e308 for one
+// pair overflow that row's sum, the forced refresh fails and bumps
+// solve_errors, and every read keeps serving the last finite snapshot.
+func TestE2EOverflowKeepsLastGoodSnapshot(t *testing.T) {
+	_, ts := newTestServer(t, Config{Peers: 4, Refresh: time.Hour})
+	post := func(path, body string, want int) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+path, body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	reads := func() []reputationResponse {
+		t.Helper()
+		var out []reputationResponse
+		for p := 0; p < 4; p++ {
+			out = append(out, decodeBody[reputationResponse](t, get(fmt.Sprintf("/v1/reputation/%d", p))))
+		}
+		return out
+	}
+
+	post("/v1/events", `{"events":[{"type":"trust","from":1,"to":2,"w":1},{"type":"trust","from":2,"to":3,"w":2}]}`, http.StatusAccepted)
+	post("/v1/flush", "", http.StatusOK)
+	post("/v1/refresh", "", http.StatusOK)
+	good := reads()
+	errs := decodeBody[statsResponse](t, get("/v1/stats")).SolveErrors
+
+	post("/v1/events", `{"events":[{"type":"contrib","from":0,"to":1,"w":1e308},{"type":"contrib","from":0,"to":1,"w":1e308}]}`, http.StatusAccepted)
+	post("/v1/flush", "", http.StatusOK)
+	post("/v1/refresh", "", http.StatusInternalServerError)
+
+	if got := decodeBody[statsResponse](t, get("/v1/stats")).SolveErrors; got <= errs {
+		t.Fatalf("solve_errors = %d after the overflowing refresh, want > %d", got, errs)
+	}
+	after := reads()
+	for p := range good {
+		if after[p] != good[p] || math.IsNaN(after[p].Trust) || math.IsInf(after[p].Trust, 0) {
+			t.Fatalf("peer %d: read %+v after the failed solve, want the last good %+v", p, after[p], good[p])
+		}
 	}
 }

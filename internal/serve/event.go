@@ -1,6 +1,9 @@
 package serve
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Event types accepted by the ingest plane.
 const (
@@ -27,9 +30,9 @@ type Event struct {
 }
 
 // validate reports the first reason e cannot be admitted to an n-peer
-// store. Range and sign errors are rejected at admission (400) rather than
-// silently dropped at apply time, so an acknowledged event is always a
-// state-changing one.
+// store. Range, sign, and non-finite-weight errors are rejected at
+// admission (400) rather than silently dropped at apply time, so an
+// acknowledged event is always a state-changing one.
 func (e Event) validate(n int) error {
 	if e.Type != EventTrust && e.Type != EventContrib {
 		return fmt.Errorf("unknown event type %q", e.Type)
@@ -39,6 +42,9 @@ func (e Event) validate(n int) error {
 	}
 	if e.From == e.To {
 		return fmt.Errorf("self-edge (%d,%d)", e.From, e.To)
+	}
+	if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+		return fmt.Errorf("weight must be finite, got %v", e.W)
 	}
 	switch {
 	case e.Type == EventContrib && e.W <= 0:

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -452,4 +453,21 @@ func ExampleEvent() {
 	b, _ := json.Marshal(e)
 	fmt.Println(string(b))
 	// Output: {"type":"contrib","from":2,"to":9,"w":1.5}
+}
+
+// TestEventValidateRejectsNonFinite pins that NaN and ±Inf weights never
+// reach the store: the stores reject them too, so an admitted event
+// carrying one would be acknowledged and then silently dropped.
+func TestEventValidateRejectsNonFinite(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, e := range []Event{
+			{Type: EventTrust, From: 0, To: 1, W: w},
+			{Type: EventTrust, From: 0, To: 1, W: w, Set: true},
+			{Type: EventContrib, From: 0, To: 1, W: w},
+		} {
+			if err := e.validate(4); err == nil {
+				t.Errorf("%+v should be rejected", e)
+			}
+		}
+	}
 }
