@@ -194,28 +194,15 @@ func TestMaxFlowTrustVector(t *testing.T) {
 	}
 }
 
-// TestMaxFlowTrustAllZeroWhenIsolated pins the all-zero-flow contract:
-// when the evaluator reaches nobody — an empty graph, or an evaluator with
-// trust flowing only toward it — MaxFlowTrust returns the all-zero vector
-// (normalization skipped) instead of erroring.
 func TestMaxFlowTrustAllZeroWhenIsolated(t *testing.T) {
-	empty, _ := NewTrustGraph(3)
-	// Every edge points INTO peer 0; no flow can leave it.
-	inbound, _ := NewLogGraph(8)
-	for i := 1; i < 8; i++ {
-		if err := inbound.AddTrust(i, 0, float64(i)); err != nil {
-			t.Fatal(err)
-		}
+	g, _ := NewTrustGraph(3)
+	tv, err := MaxFlowTrust(g, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, g := range []Graph{empty, inbound} {
-		tv, err := MaxFlowTrust(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range tv {
-			if x != 0 {
-				t.Errorf("isolated evaluator trust[%d] = %v", i, x)
-			}
+	for i, x := range tv {
+		if x != 0 {
+			t.Errorf("isolated evaluator trust[%d] = %v", i, x)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"collabnet/internal/xrand"
@@ -101,5 +102,76 @@ func TestEigenTrustParallelValidation(t *testing.T) {
 		if _, err := NewEigenTrustWorkspace(k); err == nil {
 			t.Errorf("NewEigenTrustWorkspace(%d) should fail", k)
 		}
+	}
+}
+
+// TestMaxFlowTrustParallelDegenerateMatchesSerial pins the all-zero-flow
+// contract: when the evaluator reaches nobody — an empty graph, or an
+// evaluator with trust flowing only toward it — MaxFlowTrust returns the
+// all-zero vector (normalization skipped), and concurrent solves, each on
+// its own graph and FlowWorkspace, return it bit-identically for every
+// worker count instead of erroring or diverging.
+func TestMaxFlowTrustParallelDegenerateMatchesSerial(t *testing.T) {
+	cases := map[string]func(t *testing.T) Graph{
+		"empty": func(t *testing.T) Graph {
+			g, err := NewTrustGraph(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		},
+		"evaluator-unreachable": func(t *testing.T) Graph {
+			// Every edge points INTO peer 0; no flow can leave it.
+			g, err := NewLogGraph(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < 8; i++ {
+				if err := g.AddTrust(i, 0, float64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return g
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			serial, err := MaxFlowTrust(build(t), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range serial {
+				if v != 0 {
+					t.Fatalf("serial component %d = %v, want the all-zero vector", i, v)
+				}
+			}
+			for _, workers := range []int{1, 3, 8} {
+				graphs := make([]Graph, workers)
+				for w := range graphs {
+					graphs[w] = build(t)
+				}
+				outs := make([][]float64, workers)
+				errs := make([]error, workers)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						var ws FlowWorkspace
+						outs[w] = make([]float64, graphs[w].Len())
+						errs[w] = ws.MaxFlowTrustInto(graphs[w], 0, outs[w])
+					}(w)
+				}
+				wg.Wait()
+				for w := 0; w < workers; w++ {
+					if errs[w] != nil {
+						t.Fatalf("workers=%d worker %d: %v", workers, w, errs[w])
+					}
+					if !reflect.DeepEqual(outs[w], serial) {
+						t.Fatalf("workers=%d worker %d: concurrent %v differs from serial %v", workers, w, outs[w], serial)
+					}
+				}
+			}
+		})
 	}
 }
