@@ -13,7 +13,7 @@
 # (non-blocking in CI, threshold on the hot-path packages).
 
 GO      ?= go
-BENCH_N ?= 12
+BENCH_N ?= 13
 
 .PHONY: build test vet fmt-check check bench bench-diff bench-guard \
 	cover fuzz-smoke race-stress figure-smoke scenario-smoke \

@@ -231,7 +231,7 @@ func (f *FlowTrust) EditingScore(peer int) float64 { return f.SharingScore(peer)
 // SaveState implements Snapshotter.
 func (f *FlowTrust) SaveState(dst *State) {
 	dst.Kind = KindMaxFlow
-	fs := &dst.FlowTrust
+	fs := &dst.GraphTrust
 	fs.Edges = f.graph.AppendEdges(fs.Edges[:0])
 	fs.Trust = append(fs.Trust[:0], f.trust...)
 	fs.Score = append(fs.Score[:0], f.score...)
@@ -244,7 +244,7 @@ func (f *FlowTrust) LoadState(src *State) error {
 	if err := checkKind(src, KindMaxFlow); err != nil {
 		return err
 	}
-	fs := &src.FlowTrust
+	fs := &src.GraphTrust
 	if len(fs.Trust) != f.n || len(fs.Score) != f.n {
 		return fmt.Errorf("incentive: flow-trust state sized for %d peers, scheme has %d",
 			len(fs.Trust), f.n)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"collabnet/internal/codec"
 	"collabnet/internal/core"
 	"collabnet/internal/reputation"
 )
@@ -40,11 +41,10 @@ type Snapshotter interface {
 type State struct {
 	Kind Kind
 
-	Reputation  ReputationState
-	Karma       KarmaState
-	TitForTat   TitForTatState
-	GlobalTrust GlobalTrustState
-	FlowTrust   FlowTrustState
+	Reputation ReputationState
+	Karma      KarmaState
+	TitForTat  TitForTatState
+	GraphTrust GraphTrustState
 }
 
 // ReputationState is the mutable state of the paper's Reputation scheme (and
@@ -73,12 +73,13 @@ type TitForTatState struct {
 	Uploaded  []float64
 }
 
-// GlobalTrustState is the mutable state of the EigenTrust-backed scheme: the
-// local-trust edge-log graph in its canonical compacted form (ascending
-// (From, To) edge list — the log tail is folded in by the save) plus the
-// cached trust vector and refresh bookkeeping. The solver workspace is
-// derived state and rebuilds itself from the graph on the next refresh.
-type GlobalTrustState struct {
+// GraphTrustState is the mutable state of the two graph-backed schemes,
+// EigenTrust and max-flow trust: the local-trust graph in its canonical
+// compacted form (ascending (From, To) edge list — the log tail is folded in
+// by the save) plus the cached trust vector and refresh bookkeeping. The
+// solver workspace or flow network is derived state and rebuilds itself
+// from the graph on the next refresh.
+type GraphTrustState struct {
 	Edges        []reputation.Edge
 	Trust        []float64
 	Score        []float64
@@ -86,15 +87,126 @@ type GlobalTrustState struct {
 	SinceRefresh int
 }
 
-// FlowTrustState is the mutable state of the max-flow trust scheme: the
-// same canonical edge-list form as GlobalTrustState (the flow network is
-// derived state, rebuilt at the next refresh).
-type FlowTrustState struct {
-	Edges        []reputation.Edge
-	Trust        []float64
-	Score        []float64
-	Dirty        bool
-	SinceRefresh int
+// Encode writes the Kind tag and the section it selects in the codec's
+// word layout, every field in declaration order. It is the one place the
+// scheme-state layout is written, for engine checkpoints and for the trust
+// service's snapshots alike.
+func (s *State) Encode(e *codec.Encoder) error {
+	e.Int(int(s.Kind))
+	switch s.Kind {
+	case KindNone, KindReputation:
+		r := &s.Reputation
+		e.Int(len(r.Ledgers))
+		for k := range r.Ledgers {
+			l := &r.Ledgers[k]
+			e.F64(l.CS.Value)
+			e.Int(l.CS.Idle)
+			e.F64(l.CE.Value)
+			e.Int(l.CE.Idle)
+			e.Int(l.VoteFails)
+			e.Int(l.EditFails)
+			e.Bool(l.VoteBanned)
+			e.Int(l.RegainedEdits)
+			e.Int(l.SuccVotes)
+			e.Int(l.FailVotes)
+			e.Int(l.AccEdits)
+			e.Int(l.DeclEdits)
+			e.Int(l.Punished)
+			e.Int(l.VoteBans)
+			e.Int(l.VoteRegain)
+		}
+		e.Floats(r.ShareArticles)
+		e.Floats(r.ShareBW)
+		e.Ints(r.SuccVotes)
+		e.Ints(r.AccEdits)
+	case KindKarma:
+		e.Floats(s.Karma.Balances)
+	case KindTitForTat:
+		t := &s.TitForTat
+		encodeEdges(e, t.Given)
+		e.Floats(t.ShareArts)
+		e.Floats(t.ShareBW)
+		e.Floats(t.Uploaded)
+	case KindEigenTrust, KindMaxFlow:
+		g := &s.GraphTrust
+		encodeEdges(e, g.Edges)
+		e.Floats(g.Trust)
+		e.Floats(g.Score)
+		e.Bool(g.Dirty)
+		e.Int(g.SinceRefresh)
+	default:
+		return fmt.Errorf("incentive: cannot encode state of kind %d", int(s.Kind))
+	}
+	return nil
+}
+
+// Decode is the inverse of Encode. It reuses the selected section's slices
+// where their capacity allows and leaves the other sections untouched. It
+// checks the layout only; LoadState checks the values against the scheme.
+func (s *State) Decode(d *codec.Decoder) error {
+	s.Kind = Kind(d.Int())
+	switch s.Kind {
+	case KindNone, KindReputation:
+		r := &s.Reputation
+		r.Ledgers = codec.Resize(r.Ledgers, d.Len(15*8))
+		for k := range r.Ledgers {
+			l := &r.Ledgers[k]
+			l.CS.Value = d.F64()
+			l.CS.Idle = d.Int()
+			l.CE.Value = d.F64()
+			l.CE.Idle = d.Int()
+			l.VoteFails = d.Int()
+			l.EditFails = d.Int()
+			l.VoteBanned = d.Bool()
+			l.RegainedEdits = d.Int()
+			l.SuccVotes = d.Int()
+			l.FailVotes = d.Int()
+			l.AccEdits = d.Int()
+			l.DeclEdits = d.Int()
+			l.Punished = d.Int()
+			l.VoteBans = d.Int()
+			l.VoteRegain = d.Int()
+		}
+		r.ShareArticles = d.Floats(r.ShareArticles)
+		r.ShareBW = d.Floats(r.ShareBW)
+		r.SuccVotes = d.Ints(r.SuccVotes)
+		r.AccEdits = d.Ints(r.AccEdits)
+	case KindKarma:
+		s.Karma.Balances = d.Floats(s.Karma.Balances)
+	case KindTitForTat:
+		t := &s.TitForTat
+		t.Given = decodeEdges(d, t.Given)
+		t.ShareArts = d.Floats(t.ShareArts)
+		t.ShareBW = d.Floats(t.ShareBW)
+		t.Uploaded = d.Floats(t.Uploaded)
+	case KindEigenTrust, KindMaxFlow:
+		g := &s.GraphTrust
+		g.Edges = decodeEdges(d, g.Edges)
+		g.Trust = d.Floats(g.Trust)
+		g.Score = d.Floats(g.Score)
+		g.Dirty = d.Bool()
+		g.SinceRefresh = d.Int()
+	default:
+		d.Fail(fmt.Errorf("incentive: unknown state kind %d", int(s.Kind)))
+	}
+	return d.Err()
+}
+
+func encodeEdges(e *codec.Encoder, edges []reputation.Edge) {
+	e.Int(len(edges))
+	for _, x := range edges {
+		e.Int(x.From)
+		e.Int(x.To)
+		e.F64(x.W)
+	}
+}
+
+func decodeEdges(d *codec.Decoder, dst []reputation.Edge) []reputation.Edge {
+	dst = codec.Resize(dst, d.Len(3*8))
+	for k := range dst {
+		dst[k] = reputation.Edge{From: d.Int(), To: d.Int(), W: d.F64()}
+	}
+	return dst
 }
 
 func checkKind(src *State, want Kind) error {
@@ -244,7 +356,7 @@ func (t *TitForTat) LoadState(src *State) error {
 // SaveState implements Snapshotter.
 func (g *GlobalTrust) SaveState(dst *State) {
 	dst.Kind = KindEigenTrust
-	gs := &dst.GlobalTrust
+	gs := &dst.GraphTrust
 	gs.Edges = g.store.AppendEdges(gs.Edges[:0])
 	gs.Trust = append(gs.Trust[:0], g.trust...)
 	gs.Score = append(gs.Score[:0], g.score...)
@@ -258,10 +370,15 @@ func (g *GlobalTrust) LoadState(src *State) error {
 	if err := checkKind(src, KindEigenTrust); err != nil {
 		return err
 	}
-	gs := &src.GlobalTrust
+	gs := &src.GraphTrust
 	if len(gs.Trust) != g.n || len(gs.Score) != g.n {
 		return fmt.Errorf("incentive: global-trust state sized for %d peers, scheme has %d",
 			len(gs.Trust), g.n)
+	}
+	// A restored vector is published and served as is, so it must pass the
+	// same post-condition as a solved one.
+	if err := reputation.CheckDistribution(gs.Trust); err != nil {
+		return fmt.Errorf("incentive: restored global-trust vector: %w", err)
 	}
 	if err := g.store.LoadEdges(gs.Edges); err != nil {
 		return err

@@ -120,6 +120,33 @@ func TestSchemeStateSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestGlobalTrustLoadStateChecksVector pins that a restored trust vector
+// must pass the solver's post-condition before it is published: a NaN, a
+// negative component or a vector that is not a distribution is refused,
+// and the scheme keeps its state.
+func TestGlobalTrustLoadStateChecksVector(t *testing.T) {
+	src := newScheme(t, KindEigenTrust)
+	driveScheme(src, 137)
+	dst := newScheme(t, KindEigenTrust)
+	before := observables(t, dst)
+	for name, poison := range map[string]func([]float64){
+		"nan":      func(v []float64) { v[4] = math.NaN() },
+		"inf":      func(v []float64) { v[4] = math.Inf(1) },
+		"negative": func(v []float64) { v[4], v[5] = -v[5], v[4]+2*v[5] },
+		"sum-2":    func(v []float64) { v[4] += 1 },
+	} {
+		var st State
+		src.(Snapshotter).SaveState(&st)
+		poison(st.GraphTrust.Trust)
+		if err := dst.(Snapshotter).LoadState(&st); err == nil {
+			t.Errorf("%s: poisoned trust vector was accepted", name)
+		}
+		if !reflect.DeepEqual(before, observables(t, dst)) {
+			t.Fatalf("%s: a refused load changed the scheme", name)
+		}
+	}
+}
+
 // TestSchemeStateDeterministicSave pins that two saves of equal schemes are
 // DeepEqual (edge lists in canonical order despite map-backed internals).
 func TestSchemeStateDeterministicSave(t *testing.T) {

@@ -170,19 +170,32 @@ func (ws *EigenTrustWorkspace) Compute(g Graph, cfg EigenTrustConfig) ([]float64
 			ws.t[j] /= sum
 		}
 	}
-	sum = 0
-	for _, x := range ws.t {
-		sum += x
-	}
-	// A non-finite component makes the sum non-finite, and the negated
-	// comparison also catches NaN.
-	if !(math.Abs(sum-1) <= 1e-9) {
-		return nil, fmt.Errorf("reputation: EigenTrust vector is not a finite distribution (sums to %v)", sum)
+	if err := CheckDistribution(ws.t); err != nil {
+		return nil, err
 	}
 	ws.prev = growFloats(ws.prev, n)
 	copy(ws.prev, ws.t)
 	ws.prevN = n
 	return ws.t, nil
+}
+
+// CheckDistribution is the post-condition of every EigenTrust solve, and
+// the check a trust vector restored from outside the program must pass
+// before it is used: every component finite and non-negative, and the sum
+// within 1e-9 of 1.
+func CheckDistribution(v []float64) error {
+	sum := 0.0
+	for i, x := range v {
+		// The negated comparison also catches NaN.
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("reputation: trust vector is not a finite distribution (component %d is %v)", i, x)
+		}
+		sum += x
+	}
+	if !(math.Abs(sum-1) <= 1e-9) {
+		return fmt.Errorf("reputation: trust vector is not a finite distribution (sums to %v)", sum)
+	}
+	return nil
 }
 
 // runInline is the K=1 solve: the gather over the single slice on the

@@ -49,8 +49,13 @@
 // barriers: a sentinel batch per shard whose completion proves every
 // earlier event has reached the store, followed by a store Flush that
 // publishes the folded state. Shutdown then snapshots the scheme state
-// (canonical compacted edge list + trust vector) through the binary codec
-// in snapshot.go; a restart loads it, republishes graph epoch and trust
-// snapshot, and resumes bit-identical to a serial replay of everything the
-// dead process had acknowledged and drained.
+// (canonical compacted edge list + trust vector) in the shared codec
+// envelope (internal/codec: magic, format version 2, body, CRC32C trailer,
+// written by temp file + fsync + rename); a restart loads it, republishes
+// graph epoch and trust snapshot, and resumes bit-identical to a serial
+// replay of everything the dead process had acknowledged and drained. A
+// corrupt file — bad checksum, a count larger than the file, a trust vector
+// that is not a finite distribution — fails New with an error. So does a
+// version-1 file written before the envelope existed; deleting it gives a
+// cold start.
 package serve

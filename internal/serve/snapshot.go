@@ -1,189 +1,43 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
-	"os"
-	"path/filepath"
 
+	"collabnet/internal/codec"
 	"collabnet/internal/incentive"
-	"collabnet/internal/reputation"
 )
 
-// Binary snapshot codec for warm restarts. The format mirrors the sim
-// checkpoint codec: a magic string, a version word, then little-endian
-// u64 words (floats as IEEE-754 bits). Every field of the scheme state is
-// written in canonical order, so two snapshots of equal state are equal
-// byte-for-byte — the property the warm-restart bit-identity test pins.
+// Warm-restart snapshots are the scheme state (incentive.State.Encode) in
+// the shared codec envelope. The encoding is canonical, so two snapshots of
+// equal state are equal byte-for-byte — the property the warm-restart
+// bit-identity test pins. Version 1 files (no checksum) are refused.
 const (
 	snapshotMagic   = "CLSRVS\n"
-	snapshotVersion = 1
+	snapshotVersion = 2
 )
-
-type wordWriter struct {
-	w   *bufio.Writer
-	buf [8]byte
-	err error
-}
-
-func (ww *wordWriter) u64(v uint64) {
-	if ww.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(ww.buf[:], v)
-	_, ww.err = ww.w.Write(ww.buf[:])
-}
-
-func (ww *wordWriter) f64(v float64) { ww.u64(math.Float64bits(v)) }
-
-type wordReader struct {
-	r   *bufio.Reader
-	buf [8]byte
-	err error
-}
-
-func (wr *wordReader) u64() uint64 {
-	if wr.err != nil {
-		return 0
-	}
-	if _, wr.err = io.ReadFull(wr.r, wr.buf[:]); wr.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(wr.buf[:])
-}
-
-func (wr *wordReader) f64() float64 { return math.Float64frombits(wr.u64()) }
 
 // SaveSnapshot quiesces nothing by itself: call it after Stop (or after a
 // flush) so the saved edge list reflects every drained event. The file is
-// written atomically (temp + rename) so a crash mid-write leaves the
-// previous snapshot intact.
+// written atomically (temp + fsync + rename) so a crash mid-write leaves
+// the previous snapshot intact.
 func (s *Server) SaveSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return fmt.Errorf("serve: no snapshot path configured")
 	}
 	var st incentive.State
 	s.gt.SaveState(&st)
-	return writeSnapshotFile(s.cfg.SnapshotPath, &st.GlobalTrust)
-}
-
-func writeSnapshotFile(path string, gs *incentive.GlobalTrustState) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".collabserve-snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		tmp.Close()
-		return err
-	}
-	ww := &wordWriter{w: bw}
-	ww.u64(snapshotVersion)
-	ww.u64(uint64(len(gs.Trust)))
-	ww.u64(uint64(len(gs.Edges)))
-	for _, e := range gs.Edges {
-		ww.u64(uint64(e.From))
-		ww.u64(uint64(e.To))
-		ww.f64(e.W)
-	}
-	for _, v := range gs.Trust {
-		ww.f64(v)
-	}
-	for _, v := range gs.Score {
-		ww.f64(v)
-	}
-	dirty := uint64(0)
-	if gs.Dirty {
-		dirty = 1
-	}
-	ww.u64(dirty)
-	ww.u64(uint64(gs.SinceRefresh))
-	if ww.err != nil {
-		tmp.Close()
-		return ww.err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return codec.WriteFile(s.cfg.SnapshotPath, snapshotMagic, snapshotVersion, st.Encode)
 }
 
 // loadSnapshot restores scheme state written by SaveSnapshot. It runs at
 // construction time, before any goroutine exists, so calling LoadState
-// directly (single-threaded) is safe; LoadState republishes the trust
-// snapshot at the restored graph's epoch in concurrent mode.
+// directly (single-threaded) is safe; LoadState checks the state against
+// the configured peer count and republishes the trust snapshot at the
+// restored graph's epoch in concurrent mode.
 func (s *Server) loadSnapshot(path string) error {
-	gs, err := readSnapshotFile(path)
-	if err != nil {
+	var st incentive.State
+	if err := codec.ReadFile(path, snapshotMagic, snapshotVersion, st.Decode); err != nil {
 		return err
 	}
-	if len(gs.Trust) != s.cfg.Peers {
-		return fmt.Errorf("snapshot sized for %d peers, server configured for %d",
-			len(gs.Trust), s.cfg.Peers)
-	}
-	st := incentive.State{Kind: incentive.KindEigenTrust, GlobalTrust: *gs}
 	return s.gt.LoadState(&st)
-}
-
-func readSnapshotFile(path string) (*incentive.GlobalTrustState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", err)
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("not a collabserve snapshot (magic %q)", magic)
-	}
-	wr := &wordReader{r: br}
-	if v := wr.u64(); wr.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("unsupported snapshot version %d", v)
-	}
-	n := int(wr.u64())
-	nedges := int(wr.u64())
-	if wr.err != nil {
-		return nil, wr.err
-	}
-	if n < 0 || n > 1<<30 || nedges < 0 || nedges > 1<<32 {
-		return nil, fmt.Errorf("implausible snapshot header: peers=%d edges=%d", n, nedges)
-	}
-	gs := &incentive.GlobalTrustState{
-		Edges: make([]reputation.Edge, nedges),
-		Trust: make([]float64, n),
-		Score: make([]float64, n),
-	}
-	for i := range gs.Edges {
-		gs.Edges[i].From = int(wr.u64())
-		gs.Edges[i].To = int(wr.u64())
-		gs.Edges[i].W = wr.f64()
-	}
-	for i := range gs.Trust {
-		gs.Trust[i] = wr.f64()
-	}
-	for i := range gs.Score {
-		gs.Score[i] = wr.f64()
-	}
-	gs.Dirty = wr.u64() == 1
-	gs.SinceRefresh = int(wr.u64())
-	if wr.err != nil {
-		return nil, wr.err
-	}
-	return gs, nil
 }

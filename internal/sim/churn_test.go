@@ -152,15 +152,10 @@ func checkSurgical(t *testing.T, kind incentive.Kind, pre, post, fresh *EngineSn
 				t.Errorf("survivor %d tit-for-tat accumulators changed", q)
 			}
 		}
-	case incentive.KindEigenTrust:
-		if !reflect.DeepEqual(filterEdges(pre.Scheme.GlobalTrust.Edges, victim),
-			post.Scheme.GlobalTrust.Edges) {
+	case incentive.KindEigenTrust, incentive.KindMaxFlow:
+		if !reflect.DeepEqual(filterEdges(pre.Scheme.GraphTrust.Edges, victim),
+			post.Scheme.GraphTrust.Edges) {
 			t.Error("trust graph not surgically cleared")
-		}
-	case incentive.KindMaxFlow:
-		if !reflect.DeepEqual(filterEdges(pre.Scheme.FlowTrust.Edges, victim),
-			post.Scheme.FlowTrust.Edges) {
-			t.Error("flow-trust graph not surgically cleared")
 		}
 	}
 }

@@ -1,254 +1,68 @@
-// Snapshot persistence: a gob-free binary codec for EngineSnapshot (and the
-// chain checkpoints built on it) so paper-scale warm chains survive process
-// restarts.
-//
-// The format is deliberately dumb: a magic header, a version word, and then
-// every field in declaration order as little-endian 64-bit words (floats
-// via math.Float64bits, so the round trip is bit-identical — the property
-// the resume determinism tests pin). Variable-length sections are
-// length-prefixed; lengths are sanity-bounded on read so a corrupt file
-// errors instead of allocating wildly.
+// Chain checkpoints: each warm-start chain's completed results and carry
+// snapshot, persisted through the shared codec envelope (internal/codec) so
+// paper-scale warm chains survive process restarts. This file holds the
+// engine's section layouts; the scheme-state section is incentive.State's.
 package sim
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
-	"os"
 	"path/filepath"
 
 	"collabnet/internal/agent"
 	"collabnet/internal/articles"
-	"collabnet/internal/core"
-	"collabnet/internal/incentive"
+	"collabnet/internal/codec"
 	"collabnet/internal/network"
-	"collabnet/internal/reputation"
 )
 
+// Version 3 is the first in the codec envelope (checksummed, counts bounded
+// by the file); older checkpoints fail to load, so their chains start cold.
 const (
-	snapMagic      = "CNSNAP1\n"
-	ckptMagic      = "CNCHKP1\n"
-	codecVersion   = 2
-	maxCodecLen    = 1 << 31 // per-section element bound on read
-	maxCodecString = 1 << 20 // per-string byte bound on read
+	ckptMagic   = "CNCHKP1\n"
+	ckptVersion = 3
 )
-
-// --- primitive writer/reader ---
-
-type binWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-	buf [8]byte
-}
-
-func (b *binWriter) u64(v uint64) {
-	if b.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(b.buf[:], v)
-	n, err := b.w.Write(b.buf[:])
-	b.n += int64(n)
-	b.err = err
-}
-
-func (b *binWriter) i(v int)     { b.u64(uint64(int64(v))) }
-func (b *binWriter) f(v float64) { b.u64(math.Float64bits(v)) }
-
-func (b *binWriter) bool(v bool) {
-	if v {
-		b.u64(1)
-	} else {
-		b.u64(0)
-	}
-}
-
-func (b *binWriter) raw(s string) {
-	if b.err != nil {
-		return
-	}
-	n, err := io.WriteString(b.w, s)
-	b.n += int64(n)
-	b.err = err
-}
-
-func (b *binWriter) str(s string) {
-	b.i(len(s))
-	b.raw(s)
-}
-
-func (b *binWriter) floats(s []float64) {
-	b.i(len(s))
-	for _, v := range s {
-		b.f(v)
-	}
-}
-
-func (b *binWriter) ints(s []int) {
-	b.i(len(s))
-	for _, v := range s {
-		b.i(v)
-	}
-}
-
-func (b *binWriter) bools(s []bool) {
-	b.i(len(s))
-	for _, v := range s {
-		b.bool(v)
-	}
-}
-
-func (b *binWriter) edges(s []reputation.Edge) {
-	b.i(len(s))
-	for _, e := range s {
-		b.i(e.From)
-		b.i(e.To)
-		b.f(e.W)
-	}
-}
-
-type binReader struct {
-	r   io.Reader
-	n   int64
-	err error
-	buf [8]byte
-}
-
-func (b *binReader) u64() uint64 {
-	if b.err != nil {
-		return 0
-	}
-	n, err := io.ReadFull(b.r, b.buf[:])
-	b.n += int64(n)
-	if err != nil {
-		b.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b.buf[:])
-}
-
-func (b *binReader) i() int     { return int(int64(b.u64())) }
-func (b *binReader) f() float64 { return math.Float64frombits(b.u64()) }
-func (b *binReader) bool() bool { return b.u64() != 0 }
-
-// length reads a non-negative, sanity-bounded element count.
-func (b *binReader) length(what string) int {
-	n := b.i()
-	if b.err == nil && (n < 0 || n > maxCodecLen) {
-		b.err = fmt.Errorf("sim: snapshot %s length %d out of range", what, n)
-	}
-	if b.err != nil {
-		return 0
-	}
-	return n
-}
-
-func (b *binReader) str() string {
-	n := b.i()
-	if b.err == nil && (n < 0 || n > maxCodecString) {
-		b.err = fmt.Errorf("sim: snapshot string length %d out of range", n)
-	}
-	if b.err != nil || n == 0 {
-		return ""
-	}
-	buf := make([]byte, n)
-	m, err := io.ReadFull(b.r, buf)
-	b.n += int64(m)
-	if err != nil {
-		b.err = err
-		return ""
-	}
-	return string(buf)
-}
-
-func (b *binReader) floats(dst []float64) []float64 {
-	n := b.length("float slice")
-	dst = dst[:0]
-	for k := 0; k < n && b.err == nil; k++ {
-		dst = append(dst, b.f())
-	}
-	return dst
-}
-
-func (b *binReader) ints(dst []int) []int {
-	n := b.length("int slice")
-	dst = dst[:0]
-	for k := 0; k < n && b.err == nil; k++ {
-		dst = append(dst, b.i())
-	}
-	return dst
-}
-
-func (b *binReader) bools(dst []bool) []bool {
-	n := b.length("bool slice")
-	dst = dst[:0]
-	for k := 0; k < n && b.err == nil; k++ {
-		dst = append(dst, b.bool())
-	}
-	return dst
-}
-
-func (b *binReader) edges(dst []reputation.Edge) []reputation.Edge {
-	n := b.length("edge list")
-	dst = dst[:0]
-	for k := 0; k < n && b.err == nil; k++ {
-		var e reputation.Edge
-		e.From = b.i()
-		e.To = b.i()
-		e.W = b.f()
-		dst = append(dst, e)
-	}
-	return dst
-}
 
 // --- section codecs ---
 
-func writeQSnapshot(b *binWriter, q *agent.QSnapshot) {
-	b.i(q.States)
-	b.i(q.Actions)
-	b.f(q.Alpha)
-	b.f(q.Gamma)
-	b.floats(q.Q)
+func encodeQ(e *codec.Encoder, q *agent.QSnapshot) {
+	e.Int(q.States)
+	e.Int(q.Actions)
+	e.F64(q.Alpha)
+	e.F64(q.Gamma)
+	e.Floats(q.Q)
 }
 
-func readQSnapshot(b *binReader, q *agent.QSnapshot) {
-	q.States = b.i()
-	q.Actions = b.i()
-	q.Alpha = b.f()
-	q.Gamma = b.f()
-	q.Q = b.floats(q.Q)
+func decodeQ(d *codec.Decoder, q *agent.QSnapshot) {
+	q.States = d.Int()
+	q.Actions = d.Int()
+	q.Alpha = d.F64()
+	q.Gamma = d.F64()
+	q.Q = d.Floats(q.Q)
 }
 
-func writeAgents(b *binWriter, agents []agent.Snapshot) {
-	b.i(len(agents))
+func encodeAgents(e *codec.Encoder, agents []agent.Snapshot) {
+	e.Int(len(agents))
 	for k := range agents {
 		a := &agents[k]
-		b.i(int(a.Behavior))
-		b.bool(a.Rational)
+		e.Int(int(a.Behavior))
+		e.Bool(a.Rational)
 		if a.Rational {
-			writeQSnapshot(b, &a.Sharing)
-			writeQSnapshot(b, &a.EditConduct)
-			writeQSnapshot(b, &a.VoteConduct)
+			encodeQ(e, &a.Sharing)
+			encodeQ(e, &a.EditConduct)
+			encodeQ(e, &a.VoteConduct)
 		}
 	}
 }
 
-func readAgents(b *binReader, dst []agent.Snapshot) []agent.Snapshot {
-	n := b.length("agent list")
-	if cap(dst) < n {
-		dst = make([]agent.Snapshot, n)
-	}
-	dst = dst[:n]
-	for k := 0; k < n && b.err == nil; k++ {
+func decodeAgents(d *codec.Decoder, dst []agent.Snapshot) []agent.Snapshot {
+	dst = codec.Resize(dst, d.Len(2*8)) // a non-rational agent is two words
+	for k := range dst {
 		a := &dst[k]
-		a.Behavior = agent.Behavior(b.i())
-		a.Rational = b.bool()
+		a.Behavior = agent.Behavior(d.Int())
+		a.Rational = d.Bool()
 		if a.Rational {
-			readQSnapshot(b, &a.Sharing)
-			readQSnapshot(b, &a.EditConduct)
-			readQSnapshot(b, &a.VoteConduct)
+			decodeQ(d, &a.Sharing)
+			decodeQ(d, &a.EditConduct)
+			decodeQ(d, &a.VoteConduct)
 		} else {
 			a.Sharing = agent.QSnapshot{}
 			a.EditConduct = agent.QSnapshot{}
@@ -258,393 +72,190 @@ func readAgents(b *binReader, dst []agent.Snapshot) []agent.Snapshot {
 	return dst
 }
 
-func writeLedgers(b *binWriter, ls []core.LedgerState) {
-	b.i(len(ls))
-	for k := range ls {
-		l := &ls[k]
-		b.f(l.CS.Value)
-		b.i(l.CS.Idle)
-		b.f(l.CE.Value)
-		b.i(l.CE.Idle)
-		b.i(l.VoteFails)
-		b.i(l.EditFails)
-		b.bool(l.VoteBanned)
-		b.i(l.RegainedEdits)
-		b.i(l.SuccVotes)
-		b.i(l.FailVotes)
-		b.i(l.AccEdits)
-		b.i(l.DeclEdits)
-		b.i(l.Punished)
-		b.i(l.VoteBans)
-		b.i(l.VoteRegain)
-	}
-}
-
-func readLedgers(b *binReader, dst []core.LedgerState) []core.LedgerState {
-	n := b.length("ledger list")
-	if cap(dst) < n {
-		dst = make([]core.LedgerState, n)
-	}
-	dst = dst[:n]
-	for k := 0; k < n && b.err == nil; k++ {
-		l := &dst[k]
-		l.CS.Value = b.f()
-		l.CS.Idle = b.i()
-		l.CE.Value = b.f()
-		l.CE.Idle = b.i()
-		l.VoteFails = b.i()
-		l.EditFails = b.i()
-		l.VoteBanned = b.bool()
-		l.RegainedEdits = b.i()
-		l.SuccVotes = b.i()
-		l.FailVotes = b.i()
-		l.AccEdits = b.i()
-		l.DeclEdits = b.i()
-		l.Punished = b.i()
-		l.VoteBans = b.i()
-		l.VoteRegain = b.i()
-	}
-	return dst
-}
-
-func writeScheme(b *binWriter, s *incentive.State) {
-	b.i(int(s.Kind))
-	switch s.Kind {
-	case incentive.KindNone, incentive.KindReputation:
-		writeLedgers(b, s.Reputation.Ledgers)
-		b.floats(s.Reputation.ShareArticles)
-		b.floats(s.Reputation.ShareBW)
-		b.ints(s.Reputation.SuccVotes)
-		b.ints(s.Reputation.AccEdits)
-	case incentive.KindKarma:
-		b.floats(s.Karma.Balances)
-	case incentive.KindTitForTat:
-		b.edges(s.TitForTat.Given)
-		b.floats(s.TitForTat.ShareArts)
-		b.floats(s.TitForTat.ShareBW)
-		b.floats(s.TitForTat.Uploaded)
-	case incentive.KindEigenTrust:
-		b.edges(s.GlobalTrust.Edges)
-		b.floats(s.GlobalTrust.Trust)
-		b.floats(s.GlobalTrust.Score)
-		b.bool(s.GlobalTrust.Dirty)
-		b.i(s.GlobalTrust.SinceRefresh)
-	case incentive.KindMaxFlow:
-		b.edges(s.FlowTrust.Edges)
-		b.floats(s.FlowTrust.Trust)
-		b.floats(s.FlowTrust.Score)
-		b.bool(s.FlowTrust.Dirty)
-		b.i(s.FlowTrust.SinceRefresh)
-	default:
-		b.err = fmt.Errorf("sim: cannot encode scheme state of kind %d", int(s.Kind))
-	}
-}
-
-func readScheme(b *binReader, s *incentive.State) {
-	s.Kind = incentive.Kind(b.i())
-	switch s.Kind {
-	case incentive.KindNone, incentive.KindReputation:
-		s.Reputation.Ledgers = readLedgers(b, s.Reputation.Ledgers)
-		s.Reputation.ShareArticles = b.floats(s.Reputation.ShareArticles)
-		s.Reputation.ShareBW = b.floats(s.Reputation.ShareBW)
-		s.Reputation.SuccVotes = b.ints(s.Reputation.SuccVotes)
-		s.Reputation.AccEdits = b.ints(s.Reputation.AccEdits)
-	case incentive.KindKarma:
-		s.Karma.Balances = b.floats(s.Karma.Balances)
-	case incentive.KindTitForTat:
-		s.TitForTat.Given = b.edges(s.TitForTat.Given)
-		s.TitForTat.ShareArts = b.floats(s.TitForTat.ShareArts)
-		s.TitForTat.ShareBW = b.floats(s.TitForTat.ShareBW)
-		s.TitForTat.Uploaded = b.floats(s.TitForTat.Uploaded)
-	case incentive.KindEigenTrust:
-		s.GlobalTrust.Edges = b.edges(s.GlobalTrust.Edges)
-		s.GlobalTrust.Trust = b.floats(s.GlobalTrust.Trust)
-		s.GlobalTrust.Score = b.floats(s.GlobalTrust.Score)
-		s.GlobalTrust.Dirty = b.bool()
-		s.GlobalTrust.SinceRefresh = b.i()
-	case incentive.KindMaxFlow:
-		s.FlowTrust.Edges = b.edges(s.FlowTrust.Edges)
-		s.FlowTrust.Trust = b.floats(s.FlowTrust.Trust)
-		s.FlowTrust.Score = b.floats(s.FlowTrust.Score)
-		s.FlowTrust.Dirty = b.bool()
-		s.FlowTrust.SinceRefresh = b.i()
-	default:
-		if b.err == nil {
-			b.err = fmt.Errorf("sim: snapshot has unknown scheme kind %d", int(s.Kind))
-		}
-	}
-}
-
-func writeStore(b *binWriter, s *articles.StoreSnapshot) {
-	b.i(s.RevisionCap)
-	b.i(len(s.Articles))
+func encodeStore(e *codec.Encoder, s *articles.StoreSnapshot) {
+	e.Int(s.RevisionCap)
+	e.Int(len(s.Articles))
 	for k := range s.Articles {
 		a := &s.Articles[k]
-		b.i(a.ID)
-		b.str(a.Title)
-		b.i(a.Creator)
-		b.i(a.CreatedAt)
-		b.i(len(a.Revisions))
+		e.Int(a.ID)
+		e.Text(a.Title)
+		e.Int(a.Creator)
+		e.Int(a.CreatedAt)
+		e.Int(len(a.Revisions))
 		for _, r := range a.Revisions {
-			b.i(r.Editor)
-			b.i(int(r.Quality))
-			b.i(r.Step)
+			e.Int(r.Editor)
+			e.Int(int(r.Quality))
+			e.Int(r.Step)
 		}
-		b.ints(a.Editors)
-		b.i(a.TotalRevs)
-		b.i(a.TotalGood)
-		b.i(a.TotalBad)
+		e.Ints(a.Editors)
+		e.Int(a.TotalRevs)
+		e.Int(a.TotalGood)
+		e.Int(a.TotalBad)
 	}
 }
 
-func readStore(b *binReader, s *articles.StoreSnapshot) {
-	s.RevisionCap = b.i()
-	n := b.length("article list")
-	if cap(s.Articles) < n {
-		s.Articles = make([]articles.ArticleSnapshot, n)
-	}
-	s.Articles = s.Articles[:n]
-	for k := 0; k < n && b.err == nil; k++ {
+func decodeStore(d *codec.Decoder, s *articles.StoreSnapshot) {
+	s.RevisionCap = d.Int()
+	// An article is at least nine words: an empty title, no revisions, no editors.
+	s.Articles = codec.Resize(s.Articles, d.Len(9*8))
+	for k := range s.Articles {
 		a := &s.Articles[k]
-		a.ID = b.i()
-		a.Title = b.str()
-		a.Creator = b.i()
-		a.CreatedAt = b.i()
-		nr := b.length("revision list")
-		a.Revisions = a.Revisions[:0]
-		for j := 0; j < nr && b.err == nil; j++ {
-			var r articles.Revision
-			r.Editor = b.i()
-			r.Quality = articles.Quality(b.i())
-			r.Step = b.i()
-			a.Revisions = append(a.Revisions, r)
+		a.ID = d.Int()
+		a.Title = d.Text()
+		a.Creator = d.Int()
+		a.CreatedAt = d.Int()
+		a.Revisions = codec.Resize(a.Revisions, d.Len(3*8))
+		for j := range a.Revisions {
+			a.Revisions[j] = articles.Revision{Editor: d.Int(), Quality: articles.Quality(d.Int()), Step: d.Int()}
 		}
-		a.Editors = b.ints(a.Editors)
-		a.TotalRevs = b.i()
-		a.TotalGood = b.i()
-		a.TotalBad = b.i()
+		a.Editors = d.Ints(a.Editors)
+		a.TotalRevs = d.Int()
+		a.TotalGood = d.Int()
+		a.TotalBad = d.Int()
 	}
 }
 
-func writeTransfers(b *binWriter, t *network.TransferSnapshot) {
-	b.f(t.FileSize)
-	b.i(t.NextID)
-	b.i(t.Step)
-	b.i(t.PeerBound)
-	b.i(len(t.Transfers))
+func encodeTransfers(e *codec.Encoder, t *network.TransferSnapshot) {
+	e.F64(t.FileSize)
+	e.Int(t.NextID)
+	e.Int(t.Step)
+	e.Int(t.PeerBound)
+	e.Int(len(t.Transfers))
 	for _, tr := range t.Transfers {
-		b.i(tr.ID)
-		b.i(tr.Downloader)
-		b.i(tr.Source)
-		b.f(tr.Remaining)
-		b.i(tr.StartStep)
+		e.Int(tr.ID)
+		e.Int(tr.Downloader)
+		e.Int(tr.Source)
+		e.F64(tr.Remaining)
+		e.Int(tr.StartStep)
 	}
 }
 
-func readTransfers(b *binReader, t *network.TransferSnapshot) {
-	t.FileSize = b.f()
-	t.NextID = b.i()
-	t.Step = b.i()
-	t.PeerBound = b.i()
-	n := b.length("transfer list")
-	t.Transfers = t.Transfers[:0]
-	for k := 0; k < n && b.err == nil; k++ {
-		var tr network.Transfer
-		tr.ID = b.i()
-		tr.Downloader = b.i()
-		tr.Source = b.i()
-		tr.Remaining = b.f()
-		tr.StartStep = b.i()
-		t.Transfers = append(t.Transfers, tr)
-	}
-}
-
-func (s *EngineSnapshot) write(b *binWriter) {
-	b.i(s.Step)
-	for _, w := range s.Rng {
-		b.u64(w)
-	}
-	b.bools(s.Online)
-	writeAgents(b, s.Agents)
-	writeScheme(b, &s.Scheme)
-	writeStore(b, &s.Store)
-	writeTransfers(b, &s.Transfers)
-}
-
-func (s *EngineSnapshot) read(b *binReader) {
-	s.Step = b.i()
-	for k := range s.Rng {
-		s.Rng[k] = b.u64()
-	}
-	s.Online = b.bools(s.Online)
-	s.Agents = readAgents(b, s.Agents)
-	readScheme(b, &s.Scheme)
-	readStore(b, &s.Store)
-	readTransfers(b, &s.Transfers)
-}
-
-// WriteTo implements io.WriterTo: the snapshot is encoded with the binary
-// codec described in the package comment. The encoding is a pure function
-// of the snapshot's content, and decoding it reproduces every field
-// bit-identically.
-func (s *EngineSnapshot) WriteTo(w io.Writer) (int64, error) {
-	b := &binWriter{w: w}
-	b.raw(snapMagic)
-	b.u64(codecVersion)
-	s.write(b)
-	return b.n, b.err
-}
-
-// ReadFrom implements io.ReaderFrom: the inverse of WriteTo. The snapshot's
-// slice buffers are reused where capacity allows; sections the stored
-// scheme kind does not own are left untouched (the same reuse caveat
-// Snapshot documents).
-func (s *EngineSnapshot) ReadFrom(r io.Reader) (int64, error) {
-	b := &binReader{r: r}
-	var magic [8]byte
-	n, err := io.ReadFull(r, magic[:])
-	b.n += int64(n)
-	if err != nil {
-		return b.n, err
-	}
-	if string(magic[:]) != snapMagic {
-		return b.n, fmt.Errorf("sim: not an engine snapshot (bad magic %q)", magic[:])
-	}
-	if v := b.u64(); b.err == nil && v != codecVersion {
-		return b.n, fmt.Errorf("sim: unsupported snapshot version %d", v)
-	}
-	s.read(b)
-	return b.n, b.err
-}
-
-// WriteSnapshotFile atomically writes the snapshot to path (temp file +
-// rename), creating parent directories as needed.
-func WriteSnapshotFile(path string, s *EngineSnapshot) error {
-	return atomicWrite(path, func(w io.Writer) error {
-		_, err := s.WriteTo(w)
-		return err
-	})
-}
-
-// ReadSnapshotFile reads a snapshot written by WriteSnapshotFile.
-func ReadSnapshotFile(path string) (*EngineSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s := &EngineSnapshot{}
-	if _, err := s.ReadFrom(bufio.NewReader(f)); err != nil {
-		return nil, fmt.Errorf("sim: reading snapshot %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// atomicWrite streams through fn into path's directory under a temporary
-// name and renames into place, so readers never observe a half-written
-// checkpoint.
-func atomicWrite(path string, fn func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(tmp)
-	err = fn(bw)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		if err = os.Rename(tmp.Name(), path); err == nil {
-			return nil
+func decodeTransfers(d *codec.Decoder, t *network.TransferSnapshot) {
+	t.FileSize = d.F64()
+	t.NextID = d.Int()
+	t.Step = d.Int()
+	t.PeerBound = d.Int()
+	t.Transfers = codec.Resize(t.Transfers, d.Len(5*8))
+	for k := range t.Transfers {
+		t.Transfers[k] = network.Transfer{
+			ID:         d.Int(),
+			Downloader: d.Int(),
+			Source:     d.Int(),
+			Remaining:  d.F64(),
+			StartStep:  d.Int(),
 		}
 	}
-	os.Remove(tmp.Name())
-	return fmt.Errorf("sim: writing %s: %w", path, err)
+}
+
+// encode writes every field of the snapshot in declaration order; the
+// encoding is a pure function of the snapshot's content.
+func (s *EngineSnapshot) encode(e *codec.Encoder) error {
+	e.Int(s.Step)
+	for _, w := range s.Rng {
+		e.U64(w)
+	}
+	e.Bools(s.Online)
+	encodeAgents(e, s.Agents)
+	if err := s.Scheme.Encode(e); err != nil {
+		return err
+	}
+	encodeStore(e, &s.Store)
+	encodeTransfers(e, &s.Transfers)
+	return nil
+}
+
+// decode is the inverse of encode and reproduces every field
+// bit-identically. The snapshot's slice buffers are reused where capacity
+// allows; scheme sections the stored kind does not own are left untouched
+// (the same reuse caveat EngineSnapshot documents).
+func (s *EngineSnapshot) decode(d *codec.Decoder) error {
+	s.Step = d.Int()
+	for k := range s.Rng {
+		s.Rng[k] = d.U64()
+	}
+	s.Online = d.Bools(s.Online)
+	s.Agents = decodeAgents(d, s.Agents)
+	if err := s.Scheme.Decode(d); err != nil {
+		return err
+	}
+	decodeStore(d, &s.Store)
+	decodeTransfers(d, &s.Transfers)
+	return d.Err()
 }
 
 // --- Result codec (chain checkpoints reuse stored per-point results) ---
 
-func writeResult(b *binWriter, r *Result) {
-	b.str(r.Scheme)
-	b.i(r.Steps)
-	b.i(r.Peers)
-	b.f(r.SharedArticles)
-	b.f(r.SharedBandwidth)
-	b.i(len(r.PerBehavior))
+func encodeResult(e *codec.Encoder, r *Result) {
+	e.Text(r.Scheme)
+	e.Int(r.Steps)
+	e.Int(r.Peers)
+	e.F64(r.SharedArticles)
+	e.F64(r.SharedBandwidth)
+	e.Int(len(r.PerBehavior))
 	for beh := agent.Behavior(0); int(beh) < numBehaviors; beh++ {
 		s, ok := r.PerBehavior[beh]
 		if !ok {
 			continue
 		}
-		b.i(int(beh))
-		b.i(s.Peers)
-		b.f(s.SharedArticles)
-		b.f(s.SharedBandwidth)
-		b.i(s.ConstructiveEdits)
-		b.i(s.DestructiveEdits)
-		b.i(s.AcceptedEdits)
-		b.i(s.SuccessfulVotes)
-		b.i(s.FailedVotes)
-		b.f(s.MeanUtilityS)
-		b.i(s.DownloadAttempts)
-		b.i(s.Downloads)
+		e.Int(int(beh))
+		e.Int(s.Peers)
+		e.F64(s.SharedArticles)
+		e.F64(s.SharedBandwidth)
+		e.Int(s.ConstructiveEdits)
+		e.Int(s.DestructiveEdits)
+		e.Int(s.AcceptedEdits)
+		e.Int(s.SuccessfulVotes)
+		e.Int(s.FailedVotes)
+		e.F64(s.MeanUtilityS)
+		e.Int(s.DownloadAttempts)
+		e.Int(s.Downloads)
 	}
-	b.i(r.AcceptedGood)
-	b.i(r.AcceptedBad)
-	b.i(r.DeclinedGood)
-	b.i(r.DeclinedBad)
-	b.i(r.Downloads)
-	b.f(r.MeanDownloadTime)
-	b.i(r.VoteBans)
-	b.i(r.Punishments)
+	e.Int(r.AcceptedGood)
+	e.Int(r.AcceptedBad)
+	e.Int(r.DeclinedGood)
+	e.Int(r.DeclinedBad)
+	e.Int(r.Downloads)
+	e.F64(r.MeanDownloadTime)
+	e.Int(r.VoteBans)
+	e.Int(r.Punishments)
 }
 
-func readResult(b *binReader, r *Result) {
-	r.Scheme = b.str()
-	r.Steps = b.i()
-	r.Peers = b.i()
-	r.SharedArticles = b.f()
-	r.SharedBandwidth = b.f()
-	nb := b.length("behavior map")
-	if b.err == nil && nb > numBehaviors {
-		b.err = fmt.Errorf("sim: checkpoint result has %d behaviors", nb)
+func decodeResult(d *codec.Decoder, r *Result) {
+	r.Scheme = d.Text()
+	r.Steps = d.Int()
+	r.Peers = d.Int()
+	r.SharedArticles = d.F64()
+	r.SharedBandwidth = d.F64()
+	nb := d.Len(12 * 8)
+	if nb > numBehaviors {
+		d.Fail(fmt.Errorf("sim: checkpoint result has %d behaviors", nb))
+		return
 	}
-	if b.err == nil {
-		r.PerBehavior = make(map[agent.Behavior]BehaviorStats, nb)
-	}
-	for k := 0; k < nb && b.err == nil; k++ {
-		beh := agent.Behavior(b.i())
-		var s BehaviorStats
-		s.Peers = b.i()
-		s.SharedArticles = b.f()
-		s.SharedBandwidth = b.f()
-		s.ConstructiveEdits = b.i()
-		s.DestructiveEdits = b.i()
-		s.AcceptedEdits = b.i()
-		s.SuccessfulVotes = b.i()
-		s.FailedVotes = b.i()
-		s.MeanUtilityS = b.f()
-		s.DownloadAttempts = b.i()
-		s.Downloads = b.i()
-		if b.err == nil {
-			r.PerBehavior[beh] = s
+	r.PerBehavior = make(map[agent.Behavior]BehaviorStats, nb)
+	for k := 0; k < nb; k++ {
+		beh := agent.Behavior(d.Int())
+		r.PerBehavior[beh] = BehaviorStats{
+			Peers:             d.Int(),
+			SharedArticles:    d.F64(),
+			SharedBandwidth:   d.F64(),
+			ConstructiveEdits: d.Int(),
+			DestructiveEdits:  d.Int(),
+			AcceptedEdits:     d.Int(),
+			SuccessfulVotes:   d.Int(),
+			FailedVotes:       d.Int(),
+			MeanUtilityS:      d.F64(),
+			DownloadAttempts:  d.Int(),
+			Downloads:         d.Int(),
 		}
 	}
-	r.AcceptedGood = b.i()
-	r.AcceptedBad = b.i()
-	r.DeclinedGood = b.i()
-	r.DeclinedBad = b.i()
-	r.Downloads = b.i()
-	r.MeanDownloadTime = b.f()
-	r.VoteBans = b.i()
-	r.Punishments = b.i()
+	r.AcceptedGood = d.Int()
+	r.AcceptedBad = d.Int()
+	r.DeclinedGood = d.Int()
+	r.DeclinedBad = d.Int()
+	r.Downloads = d.Int()
+	r.MeanDownloadTime = d.F64()
+	r.VoteBans = d.Int()
+	r.Punishments = d.Int()
 }
 
 // --- chain checkpoints ---
@@ -657,6 +268,25 @@ type chainCheckpoint struct {
 	Name string
 	Done []Result
 	Snap EngineSnapshot
+}
+
+func (c *chainCheckpoint) encode(e *codec.Encoder) error {
+	e.Text(c.Name)
+	e.Int(len(c.Done))
+	for k := range c.Done {
+		encodeResult(e, &c.Done[k])
+	}
+	return c.Snap.encode(e)
+}
+
+func (c *chainCheckpoint) decode(d *codec.Decoder) error {
+	c.Name = d.Text()
+	// A result is at least 14 words: an empty scheme name, no behaviors.
+	c.Done = make([]Result, d.Len(14*8))
+	for k := range c.Done {
+		decodeResult(d, &c.Done[k])
+	}
+	return c.Snap.decode(d)
 }
 
 // checkpointPath maps a chain name to its file under dir, replacing
@@ -677,50 +307,18 @@ func checkpointPath(dir, name string) string {
 
 // writeChainCheckpoint atomically persists the chain's resume state.
 func writeChainCheckpoint(dir string, c *chainCheckpoint) error {
-	return atomicWrite(checkpointPath(dir, c.Name), func(w io.Writer) error {
-		b := &binWriter{w: w}
-		b.raw(ckptMagic)
-		b.u64(codecVersion)
-		b.str(c.Name)
-		b.i(len(c.Done))
-		for k := range c.Done {
-			writeResult(b, &c.Done[k])
-		}
-		c.Snap.write(b)
-		return b.err
-	})
+	return codec.WriteFile(checkpointPath(dir, c.Name), ckptMagic, ckptVersion, c.encode)
 }
 
 // loadChainCheckpoint loads the chain's resume state. It reports false —
 // never an error — when no usable checkpoint exists (missing file, wrong
-// name, more points than the chain now has, or any decode failure), so a
-// stale or corrupt checkpoint degrades to a cold start of the chain.
+// name, more points than the chain now has, an older format version, or any
+// decode or checksum failure), so a stale or corrupt checkpoint degrades to
+// a cold start of the chain.
 func loadChainCheckpoint(dir, name string, maxPoints int) (*chainCheckpoint, bool) {
-	f, err := os.Open(checkpointPath(dir, name))
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	b := &binReader{r: bufio.NewReader(f)}
-	var magic [8]byte
-	if _, err := io.ReadFull(b.r, magic[:]); err != nil || string(magic[:]) != ckptMagic {
-		return nil, false
-	}
-	if b.u64() != codecVersion {
-		return nil, false
-	}
 	c := &chainCheckpoint{}
-	c.Name = b.str()
-	n := b.length("checkpoint results")
-	if b.err != nil || c.Name != name || n > maxPoints {
-		return nil, false
-	}
-	c.Done = make([]Result, n)
-	for k := 0; k < n && b.err == nil; k++ {
-		readResult(b, &c.Done[k])
-	}
-	c.Snap.read(b)
-	if b.err != nil {
+	err := codec.ReadFile(checkpointPath(dir, name), ckptMagic, ckptVersion, c.decode)
+	if err != nil || c.Name != name || len(c.Done) > maxPoints {
 		return nil, false
 	}
 	return c, true

@@ -1,12 +1,17 @@
 package sim
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"collabnet/internal/codec"
 )
 
 // TestSnapshotCodecRoundTripBitIdentical pins the persistence acceptance
@@ -26,12 +31,8 @@ func TestSnapshotCodecRoundTripBitIdentical(t *testing.T) {
 			}
 			snap := eng.Snapshot(nil)
 
-			var buf bytes.Buffer
-			if _, err := snap.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			got := &EngineSnapshot{}
-			if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+			got, err := snapshotRoundTrip(t, snap)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(snap, got) {
@@ -65,6 +66,21 @@ func TestSnapshotCodecRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// snapshotRoundTrip writes snap alone in the codec envelope and decodes it
+// into a fresh container.
+func snapshotRoundTrip(t *testing.T, snap *EngineSnapshot) (*EngineSnapshot, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	if err := codec.WriteFile(path, ckptMagic, ckptVersion, snap.encode); err != nil {
+		t.Fatal(err)
+	}
+	got := &EngineSnapshot{}
+	return got, codec.ReadFile(path, ckptMagic, ckptVersion, got.decode)
+}
+
+// TestSnapshotFileRoundTrip round-trips a full-state snapshot through the
+// chain checkpoint file, the one file an engine snapshot is persisted in,
+// into a parent directory that does not exist yet.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	cfg := snapshotTestConfig(allSchemeKinds[4])
 	eng, err := New(cfg)
@@ -74,34 +90,160 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		eng.StepOnce(1, true)
 	}
-	snap := eng.Snapshot(nil)
-	path := filepath.Join(t.TempDir(), "sub", "engine.snap")
-	if err := WriteSnapshotFile(path, snap); err != nil {
+	dir := filepath.Join(t.TempDir(), "sub")
+	c := &chainCheckpoint{Name: "file round trip"}
+	eng.Snapshot(&c.Snap)
+	if err := writeChainCheckpoint(dir, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := loadChainCheckpoint(dir, c.Name, 1)
+	if !ok {
+		t.Fatal("checkpoint did not load")
 	}
-	if !reflect.DeepEqual(snap, got) {
+	if !reflect.DeepEqual(&c.Snap, &got.Snap) {
 		t.Fatal("file round trip differs")
 	}
 }
 
 func TestSnapshotCodecRejectsGarbage(t *testing.T) {
-	s := &EngineSnapshot{}
-	if _, err := s.ReadFrom(bytes.NewReader([]byte("not a snapshot at all"))); err == nil {
-		t.Error("garbage should not decode")
+	for name, body := range map[string][]byte{
+		"garbage":   []byte("not a snapshot at all"),
+		"empty":     nil,
+		"truncated": make([]byte, 7*8), // step, RNG and online set, then nothing
+	} {
+		if _, err := snapshotDecode(t, body); err == nil {
+			t.Errorf("%s body should not decode", name)
+		}
 	}
-	if _, err := s.ReadFrom(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input should not decode")
+	if _, ok := loadChainCheckpoint(t.TempDir(), "missing", 1); ok {
+		t.Error("missing checkpoint should not load")
 	}
-	// Valid magic, truncated body.
-	if _, err := s.ReadFrom(bytes.NewReader([]byte(snapMagic))); err == nil {
-		t.Error("truncated input should not decode")
+}
+
+// snapshotDecode seals body in a valid envelope and decodes it as an
+// engine snapshot, so the body decoder sees every byte.
+func snapshotDecode(t *testing.T, body []byte) (*EngineSnapshot, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	if err := os.WriteFile(path, sealFile(ckptMagic, ckptVersion, body), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadSnapshotFile(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
-		t.Error("missing file should error")
+	got := &EngineSnapshot{}
+	return got, codec.ReadFile(path, ckptMagic, ckptVersion, got.decode)
+}
+
+// sealFile builds a file image in the codec envelope around raw body bytes:
+// magic, version word, body, CRC32C trailer.
+func sealFile(magic string, version uint64, body []byte) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte(magic), version)
+	b = append(b, body...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// hugeAgentsBody is the body of a 72-byte version-2 engine snapshot (8
+// bytes of magic and 8 of version before it) that claims 2^31 agents: step,
+// RNG state, an empty online set, the agent count, and nothing behind it.
+// A decoder that allocates before bounding the count asks for 395 GB here,
+// which ends the process with an unrecoverable out-of-memory error.
+func hugeAgentsBody() []byte {
+	var b []byte
+	for _, w := range []uint64{100, 1, 2, 3, 4, 0, 1 << 31} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// allocated reports the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapshotDecodeBoundsCountsByInput pins the decoder's allocation
+// bound: a count larger than the bytes behind it is an error, found before
+// anything is allocated for it — also when the snapshot arrives inside a
+// chain checkpoint, which then degrades to a cold start.
+func TestSnapshotDecodeBoundsCountsByInput(t *testing.T) {
+	const limit = 1 << 20
+	var err error
+	if n := allocated(func() { _, err = snapshotDecode(t, hugeAgentsBody()) }); n > limit {
+		t.Errorf("decoding the 2^31-agent snapshot allocated %d bytes", n)
+	}
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("2^31-agent snapshot: got %v, want a count-bound error", err)
+	}
+
+	dir := t.TempDir()
+	name := "hostile"
+	err = codec.WriteFile(checkpointPath(dir, name), ckptMagic, ckptVersion, func(e *codec.Encoder) error {
+		e.Text(name)
+		e.Int(0) // no completed results
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Splice the hostile snapshot body in front of the trailer and reseal.
+	path := checkpointPath(dir, name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(data[len(ckptMagic)+8:len(data)-4], hugeAgentsBody()...)
+	if err := os.WriteFile(path, sealFile(ckptMagic, ckptVersion, body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ok bool
+	if n := allocated(func() { _, ok = loadChainCheckpoint(dir, name, 2) }); n > limit {
+		t.Errorf("loading the hostile checkpoint allocated %d bytes", n)
+	}
+	if ok {
+		t.Error("hostile checkpoint should degrade to a cold start")
+	}
+}
+
+// TestChainCheckpointRejectsFlippedByte pins the checksum: one flipped bit
+// anywhere in a valid checkpoint's body, and an older format version, both
+// make the checkpoint unusable.
+func TestChainCheckpointRejectsFlippedByte(t *testing.T) {
+	dir := t.TempDir()
+	c := checkpointChain(2)
+	if cr := runChain(c, ChainOptions{WarmStart: true, CheckpointDir: dir}); cr.Err != nil {
+		t.Fatal(cr.Err)
+	}
+	path := checkpointPath(dir, c.Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := loadChainCheckpoint(dir, c.Name, 2); !ok {
+		t.Fatal("valid checkpoint did not load")
+	}
+	for _, off := range []int{len(ckptMagic) + 8, len(data) / 2, len(data) - 5} {
+		bad := append([]byte(nil), data...)
+		bad[off] ^= 0x10
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := codec.ReadFile(path, ckptMagic, ckptVersion, (&chainCheckpoint{}).decode)
+		if err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("flip at byte %d: got %v, want a checksum error", off, err)
+		}
+		if _, ok := loadChainCheckpoint(dir, c.Name, 2); ok {
+			t.Errorf("flip at byte %d: corrupt checkpoint loaded", off)
+		}
+	}
+	old := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(old[len(ckptMagic):], ckptVersion-1)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = codec.ReadFile(path, ckptMagic, ckptVersion, (&chainCheckpoint{}).decode)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ckptVersion-1)) {
+		t.Errorf("old version: got %v, want an error naming version %d", err, ckptVersion-1)
 	}
 }
 
@@ -194,10 +336,7 @@ func TestChainCheckpointIgnoresCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	c := checkpointChain(2)
 	// Pre-plant garbage where the checkpoint would live.
-	if err := atomicWrite(checkpointPath(dir, c.Name), func(w io.Writer) error {
-		_, err := w.Write([]byte("garbage"))
-		return err
-	}); err != nil {
+	if err := os.WriteFile(checkpointPath(dir, c.Name), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opt := ChainOptions{WarmStart: true, CheckpointDir: dir}
