@@ -13,7 +13,7 @@
 # (non-blocking in CI, threshold on the hot-path packages).
 
 GO      ?= go
-BENCH_N ?= 13
+BENCH_N ?= 14
 
 .PHONY: build test vet fmt-check check bench bench-diff bench-guard \
 	cover fuzz-smoke race-stress figure-smoke scenario-smoke \
@@ -123,8 +123,10 @@ cover:
 	exit $$fail
 
 # race-stress drives the concurrent trust store's randomized mixed
-# schedules (parallel writers, lock-free readers, churn, refreshes) under
-# the race detector, repeated RACE_COUNT times for interleaving diversity.
+# schedules (parallel writers, lock-free readers, churn, refreshes) and the
+# serving layer's batch admission (whole-batch reservation against the
+# backlog cap, 429s, the concurrent HTTP replay test) under the race
+# detector, repeated RACE_COUNT times for interleaving diversity.
 # The -timeout doubles as the deadlock gate: a publisher that never sees
 # its spare buffer drain, or a reader stuck behind a lock that should not
 # exist, turns into a test-binary panic with full goroutine dumps instead
@@ -132,8 +134,9 @@ cover:
 RACE_COUNT   ?= 3
 RACE_TIMEOUT ?= 300s
 race-stress:
-	$(GO) test -race -run 'Concurrent' -count=$(RACE_COUNT) \
-		-timeout $(RACE_TIMEOUT) ./internal/reputation/ ./internal/incentive/
+	$(GO) test -race -run 'Concurrent|Ingest|Backpressure|ReadsNeverBlock|WriterBarrier|E2EReplayEquivalence' \
+		-count=$(RACE_COUNT) -timeout $(RACE_TIMEOUT) \
+		./internal/reputation/ ./internal/incentive/ ./internal/serve/
 
 # fuzz-smoke runs every fuzz target for FUZZTIME as a quick corpus-driven
 # smoke (CI pairs it with -race to shake out data races in the parallel

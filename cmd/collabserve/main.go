@@ -7,9 +7,13 @@
 //
 //	collabserve -peers 2000 -addr :8080
 //	collabserve -peers 2000 -snapshot /var/lib/collabserve/state.snap
-//	collabserve -peers 500 -refresh 250ms -shards 16 -queue 512
+//	collabserve -peers 500 -refresh 250ms -shards 16 -queue 65536
 //
-// On SIGINT/SIGTERM the server stops admitting writes, drains every
+// -queue bounds the backlog: the events accepted but not yet folded into
+// the store by a flush or solve. A batch that would pass it is refused
+// whole with 429, so a retry re-sends nothing that was applied.
+//
+// On SIGINT/SIGTERM the server stops admitting writes, folds every
 // acknowledged event into the store, and (when -snapshot is set) writes a
 // binary snapshot; restarting with the same -snapshot path warm-starts
 // bit-identical to a serial replay of everything the dead process had
@@ -39,11 +43,10 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		peers     = flag.Int("peers", 1000, "peer-id space size")
 		shards    = flag.Int("shards", 0, "ingest shard count (0 = default)")
-		queue     = flag.Int("queue", 0, "per-shard admission queue depth in batches (0 = default)")
+		queue     = flag.Int("queue", 0, "cap on events accepted but not yet folded into the store; a batch that would pass it gets 429 (0 = default, 1<<20)")
 		maxBatch  = flag.Int("maxbatch", 0, "max events per ingest request (0 = default)")
 		refresh   = flag.Duration("refresh", 0, "EigenTrust refresh cadence (0 = default)")
 		floor     = flag.Float64("floor", 0, "allocation floor (0 = scheme default)")
-		watermark = flag.Int("watermark", 0, "store publish watermark in pending statements (0 = store default)")
 		snapshot  = flag.String("snapshot", "", "snapshot path for warm restart (loaded if present, written on shutdown)")
 		pretrust  = flag.String("pretrusted", "", "comma-separated pre-trusted peer ids")
 		logSolves = flag.Bool("logsolves", false, "log every EigenTrust solve (iterations, warm/cold, dirty rows, wall time)")
@@ -63,7 +66,6 @@ func main() {
 		Refresh:      *refresh,
 		PreTrusted:   preTrusted,
 		Floor:        *floor,
-		Watermark:    *watermark,
 		SnapshotPath: *snapshot,
 	}
 	if *logSolves {
@@ -107,7 +109,8 @@ func main() {
 	}
 
 	// Shutdown order matters: stop admission first (no handler can enqueue
-	// after Shutdown returns), then drain and fold the queues, then persist.
+	// after Shutdown returns), then fold the backlog into the store, then
+	// persist.
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

@@ -31,7 +31,7 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 		return err
 	}
 	honest := peers - cliqueSize
-	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, nil, boost); err != nil {
 		return err
 	}
 
@@ -109,9 +109,9 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	fmt.Printf("\nafter forced compaction: nnz=%d  tail=%d  compactions=%d\n",
 		g.NNZ(), g.TailLen(), g.Compactions())
 
-	// Replay the identical workload through the concurrent store: automatic
-	// watermark publishes plus the explicit ClearPeer/flush points produce a
-	// stream of immutable epochs, and a reader pinned across each churn event
+	// Replay the identical workload through the concurrent store: a Flush
+	// every 16 steps plus the ClearPeer points produce a stream of immutable
+	// epochs, and a reader pinned across each churn event
 	// forces the retirement protocol to actually wait. The final arrays must
 	// be bit-identical to the serial log above — the serial-reference
 	// guarantee, checked here on real output rather than in tests only.
@@ -119,8 +119,7 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	if err != nil {
 		return err
 	}
-	cg.SetPendingWatermark(256)
-	if err := driveWorkload(cg, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(cg, honest, cliqueSize, steps, rejoinEvery, cg.Flush, boost); err != nil {
 		return err
 	}
 	cg.Flush()
@@ -153,7 +152,7 @@ func graphStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 	if !edgesEqual(cg.AppendEdges(nil), edges) {
 		match = "DIVERGED"
 	}
-	fmt.Printf("\nconcurrent store (same workload, watermark 256):\n")
+	fmt.Printf("\nconcurrent store (same workload, flushed every 16 steps):\n")
 	fmt.Printf("  epoch=%d  swaps=%d  retire-waits=%d  ingest-drains=%d\n",
 		st.Epoch, st.Swaps, st.RetireWaits, st.Flushes)
 	fmt.Printf("  pending=%d  pinned-readers=%d\n", st.Pending, st.Readers)
@@ -220,8 +219,8 @@ func topKEqual(a, b []reputation.PeerTrust) bool {
 
 // driveWorkload replays the deterministic collusion-plus-churn schedule on
 // any trust store; both the serial log and the concurrent store run the very
-// same statement sequence.
-func driveWorkload(g reputation.Graph, honest, cliqueSize, steps, rejoinEvery int, boost float64) error {
+// same statement sequence. A non-nil flush runs every 16 steps.
+func driveWorkload(g reputation.Graph, honest, cliqueSize, steps, rejoinEvery int, flush func(), boost float64) error {
 	for s := 1; s <= steps; s++ {
 		from := s % honest
 		to := (from + 1 + s%(honest-1)) % honest
@@ -244,6 +243,9 @@ func driveWorkload(g reputation.Graph, honest, cliqueSize, steps, rejoinEvery in
 			if err := g.ClearPeer(honest + (s/rejoinEvery)%cliqueSize); err != nil {
 				return err
 			}
+		}
+		if flush != nil && s%16 == 0 {
+			flush()
 		}
 	}
 	return nil

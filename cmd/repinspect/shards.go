@@ -31,7 +31,7 @@ func shardStats(peers, cliqueSize, steps, rejoinEvery int, boost float64) error 
 		return err
 	}
 	honest := peers - cliqueSize
-	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, boost); err != nil {
+	if err := driveWorkload(g, honest, cliqueSize, steps, rejoinEvery, nil, boost); err != nil {
 		return err
 	}
 	g.Compact()

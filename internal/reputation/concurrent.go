@@ -1,6 +1,7 @@
 package reputation
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -9,6 +10,11 @@ import (
 // uses when the caller passes 0: enough to keep writers on separate locks
 // without ballooning the drain loop on small machines.
 const defaultIngestShards = 8
+
+// ErrBacklog is Ingest's refusal: admitting the batch would take the
+// statements accepted but not yet folded into the log past the caller's
+// limit. Nothing of a refused batch is applied.
+var ErrBacklog = errors.New("reputation: ingest backlog full")
 
 // GraphEpoch is one immutable published snapshot of the compacted trust
 // adjacency: the row arrays of the writer-side LogGraph frozen at a publish
@@ -143,19 +149,23 @@ type ingestShard struct {
 //
 // # Concurrency model (two epochs, double-buffered)
 //
-//   - Writers (any goroutine) enqueue validated statements onto the ingest
-//     shard owned by the statement's source peer: one short per-shard mutex
-//     section, O(1) amortized, never touching reader state.
+//   - Writers (any goroutine) admit statements with Ingest (AddTrust and
+//     SetTrust are its one-statement form): reserve the batch against the
+//     pending counter with a CAS, then append each statement onto the
+//     ingest shard owned by its source peer — one short per-shard mutex
+//     section per statement, O(1) amortized. A writer never takes the
+//     maintenance lock and never publishes, so it never waits on a solve
+//     or on a pinned reader.
 //   - Readers (any goroutine) pin the current epoch with Acquire — an
 //     atomic pointer load plus a reader-count increment, re-validated
 //     against the pointer so a racing swap cannot hand out a recycled
 //     buffer — read through it lock-free, and Release it. The read path
 //     takes no mutex and performs no allocation.
 //   - The publisher (whoever holds the maintenance lock: Flush, Compact,
-//     ClearPeer, Clear, LoadEdges, Exclusive) drains the shards in shard
-//     order into the writer-side LogGraph, compacts it, copies the
-//     compacted arrays into the spare buffer, and swaps the current-epoch
-//     pointer to it. Exactly two buffers exist; before reusing the spare,
+//     AppendEdges, ClearPeer, Clear, LoadEdges, Exclusive) drains the
+//     shards in shard order into the writer-side LogGraph, compacts it,
+//     copies the compacted arrays into the spare buffer, and swaps the
+//     current-epoch pointer to it. Exactly two buffers exist; before reusing the spare,
 //     the publisher waits for the reader count pinned on it (stragglers
 //     from before the previous swap) to drain to zero. Readers never wait;
 //     only the publisher can.
@@ -174,17 +184,17 @@ type ingestShard struct {
 // # Visibility
 //
 // Lock-free reads see the last-published epoch: statements enqueued since
-// then become visible at the next publish (Flush or the automatic pending
-// watermark). The exact, fully merged view is available through the
-// maintenance plane (Exclusive, AppendEdges), which flushes first.
+// then become visible at the next maintenance call that publishes (Flush,
+// or the Exclusive a solve runs under). The exact, fully merged view is
+// available through the maintenance plane (Exclusive, AppendEdges), which
+// drains first.
 // ConcurrentGraph implements Graph with lock-free point reads on the
 // serving plane and flushing mutators, so the solvers and snapshot codecs
 // run against it unchanged.
 type ConcurrentGraph struct {
-	n         int
-	shards    []ingestShard
-	pending   atomic.Int64 // enqueued, not yet drained statements
-	watermark int64        // pending level that triggers an automatic publish
+	n       int
+	shards  []ingestShard
+	pending atomic.Int64 // reserved by Ingest, not yet drained statements
 
 	mu       sync.Mutex // maintenance lock: log, spare buffer, publishing
 	log      *LogGraph  // writer-side store; guarded by mu
@@ -210,7 +220,7 @@ type ConcurrentStats struct {
 	Swaps       uint64 // epochs published (pointer swaps)
 	RetireWaits uint64 // publishes that had to wait for a reader drain
 	Flushes     uint64 // ingest drains
-	Pending     int64  // statements enqueued but not yet drained
+	Pending     int64  // statements admitted but not yet drained into the log
 	Readers     int64  // readers pinned on the published epoch right now
 }
 
@@ -229,12 +239,11 @@ func NewConcurrentGraph(n, shards int) (*ConcurrentGraph, error) {
 		shards = n
 	}
 	cg := &ConcurrentGraph{
-		n:         n,
-		shards:    make([]ingestShard, shards),
-		watermark: defaultLogWatermark,
-		log:       log,
-		drainBuf:  make([][]logOp, shards),
-		spare:     newGraphEpoch(n),
+		n:        n,
+		shards:   make([]ingestShard, shards),
+		log:      log,
+		drainBuf: make([][]logOp, shards),
+		spare:    newGraphEpoch(n),
 	}
 	cg.cur.Store(newGraphEpoch(n))
 	return cg, nil
@@ -243,63 +252,67 @@ func NewConcurrentGraph(n, shards int) (*ConcurrentGraph, error) {
 // Len returns the number of peers.
 func (cg *ConcurrentGraph) Len() int { return cg.n }
 
-// SetPendingWatermark sets the enqueued-statement count that triggers an
-// automatic drain-and-publish on the write path (k <= 0 restores the
-// default). The publish is attempted opportunistically: if maintenance is
-// already running, the writer skips it and the running flush picks the
-// statements up.
-func (cg *ConcurrentGraph) SetPendingWatermark(k int) {
-	if k <= 0 {
-		k = defaultLogWatermark
-	}
-	atomic.StoreInt64(&cg.watermark, int64(k))
-}
-
-// AddTrust accumulates w onto the local trust of from in to: an O(1) append
-// onto the source's ingest shard, visible to readers at the next publish.
-// Semantics match LogGraph (non-finite w rejected, self-trust and
-// non-positive w ignored).
+// AddTrust accumulates w onto the local trust of from in to: a
+// one-statement Ingest with no backlog limit. Semantics match LogGraph
+// (non-finite w rejected, self-trust and non-positive w ignored).
 func (cg *ConcurrentGraph) AddTrust(from, to int, w float64) error {
-	if err := checkEdge(from, to, w, cg.n); err != nil {
-		return err
-	}
-	if from == to || w <= 0 {
-		return nil
-	}
-	cg.enqueue(logOp{from: int32(from), to: int32(to), w: w})
-	return nil
+	return cg.Ingest([]Statement{{From: from, To: to, W: w}}, 0)
 }
 
 // SetTrust overwrites the local trust of from in to (zero deletes, negative
-// clamps to zero), with the same enqueue path and visibility as AddTrust.
+// clamps to zero): a one-statement Ingest with no backlog limit.
 func (cg *ConcurrentGraph) SetTrust(from, to int, w float64) error {
-	if err := checkEdge(from, to, w, cg.n); err != nil {
-		return err
+	return cg.Ingest([]Statement{{From: from, To: to, W: w, Set: true}}, 0)
+}
+
+// Ingest admits a batch of statements whole or not at all. Every statement
+// is checked first (an invalid one fails the batch with its error); then
+// the batch's effective statements are reserved against the pending
+// counter — refused with ErrBacklog when the total would pass limit
+// (limit <= 0: no limit) — and only then appended, each to its source's
+// ingest shard in batch order. Pending therefore never passes limit through
+// Ingest, and a refused batch leaves the store untouched. The statements
+// become visible to readers at the next publish.
+func (cg *ConcurrentGraph) Ingest(batch []Statement, limit int) error {
+	k := int64(0)
+	for _, st := range batch {
+		_, ok, err := st.logOp(cg.n)
+		if err != nil {
+			return err
+		}
+		if ok {
+			k++
+		}
 	}
-	if from == to {
-		return nil
+	if !cg.reserve(k, int64(limit)) {
+		return ErrBacklog
 	}
-	if w < 0 {
-		w = 0
+	for _, st := range batch {
+		if op, ok, _ := st.logOp(cg.n); ok {
+			sh := &cg.shards[int(op.from)%len(cg.shards)]
+			sh.mu.Lock()
+			sh.ops = append(sh.ops, op)
+			sh.mu.Unlock()
+		}
 	}
-	cg.enqueue(logOp{from: int32(from), to: int32(to), w: w, set: true})
 	return nil
 }
 
-// enqueue appends one pre-validated statement to its source's shard and
-// opportunistically publishes when the pending count crosses the watermark.
-func (cg *ConcurrentGraph) enqueue(op logOp) {
-	sh := &cg.shards[int(op.from)%len(cg.shards)]
-	sh.mu.Lock()
-	sh.ops = append(sh.ops, op)
-	sh.mu.Unlock()
-	if cg.pending.Add(1) >= atomic.LoadInt64(&cg.watermark) {
-		if cg.mu.TryLock() {
-			cg.drainLocked()
-			if cg.dirty {
-				cg.publishLocked()
-			}
-			cg.mu.Unlock()
+// reserve adds k to the pending count unless that would take it past limit
+// (limit <= 0: no limit). Reserving before appending keeps pending an upper
+// bound on the statements queued in the shards at every instant.
+func (cg *ConcurrentGraph) reserve(k, limit int64) bool {
+	if limit <= 0 {
+		cg.pending.Add(k)
+		return true
+	}
+	for {
+		p := cg.pending.Load()
+		if p+k > limit {
+			return false
+		}
+		if cg.pending.CompareAndSwap(p, p+k) {
+			return true
 		}
 	}
 }
@@ -443,8 +456,8 @@ func (cg *ConcurrentGraph) ClearPeer(i int) error {
 // readers keep serving the previous epoch, and the refreshed state becomes
 // visible atomically afterwards. A result computed inside fn should be
 // republished via PublishTrustAt with the returned sequence, so the stamp
-// names the epoch the result was computed from even if a watermark-triggered
-// publish lands in between. fn must not retain the *LogGraph beyond the
+// names the epoch the result was computed from even if another maintenance
+// call publishes in between. fn must not retain the *LogGraph beyond the
 // call.
 func (cg *ConcurrentGraph) Exclusive(fn func(*LogGraph)) uint64 {
 	cg.mu.Lock()
@@ -472,7 +485,7 @@ func (cg *ConcurrentGraph) PublishTrustAt(seq uint64, vec []float64) {
 
 // PublishTrust is PublishTrustAt stamped with the epoch published at call
 // time. Prefer PublishTrustAt with the sequence Exclusive returned when the
-// vector came out of a solve: a concurrent watermark-triggered publish can
+// vector came out of a solve: a concurrent Flush on another goroutine can
 // advance the current epoch between the solve and this call, and the
 // call-time stamp would then name an epoch newer than the vector.
 func (cg *ConcurrentGraph) PublishTrust(vec []float64) {

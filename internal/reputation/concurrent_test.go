@@ -1,6 +1,7 @@
 package reputation
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -45,8 +46,8 @@ func TestConcurrentGraphSerialEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Huge watermarks so compaction points are driven explicitly.
-		cg.SetPendingWatermark(1 << 20)
+		// A huge watermark so the serial log compacts only where the
+		// concurrent store publishes: at the explicit flush points.
 		ref.SetWatermark(1 << 20)
 		for step := 0; step < 3000; step++ {
 			from, to := rng.Intn(n), rng.Intn(n)
@@ -98,19 +99,21 @@ func TestConcurrentGraphSerialEquivalenceRandomized(t *testing.T) {
 // statements stay ordered on its shard, the final compacted arrays — and
 // the EigenTrust vector computed from them — must be bit-identical to a
 // serial LogGraph replaying the same per-source sequences, for every
-// interleaving the scheduler produces.
+// interleaving the scheduler produces. Half the writers admit multi-source
+// batches through Ingest against a backlog limit, retrying a refused batch
+// unchanged, so the reservation path races the shard appends and drains.
 func TestConcurrentGraphParallelWritersBitIdentical(t *testing.T) {
 	const (
 		n       = 64
 		writers = 8
 		opsEach = 2500
+		limit   = 96
 	)
 	for seed := uint64(1); seed <= 3; seed++ {
 		cg, err := NewConcurrentGraph(n, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cg.SetPendingWatermark(256) // exercise opportunistic mid-run publishes
 
 		// Pre-generate each writer's deterministic op sequence (sources
 		// disjoint per writer) so the concurrent run and the serial replay
@@ -180,6 +183,26 @@ func TestConcurrentGraphParallelWritersBitIdentical(t *testing.T) {
 			writerWG.Add(1)
 			go func(w int) {
 				defer writerWG.Done()
+				if w%2 == 1 {
+					rng := xrand.New(seed + uint64(w))
+					for ops := seqs[w]; len(ops) > 0; {
+						batch := make([]Statement, min(len(ops), 1+rng.Intn(16)))
+						for k := range batch {
+							o := ops[k]
+							batch[k] = Statement{From: o.from, To: o.to, W: o.w, Set: o.set}
+						}
+						switch err := cg.Ingest(batch, limit); {
+						case err == nil:
+							ops = ops[len(batch):]
+						case errors.Is(err, ErrBacklog):
+							runtime.Gosched() // the flusher drains; retry unchanged
+						default:
+							t.Error(err)
+							return
+						}
+					}
+					return
+				}
 				for _, o := range seqs[w] {
 					var err error
 					if o.set {
@@ -284,8 +307,6 @@ func TestConcurrentGraphStressMixedSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg.SetPendingWatermark(64)
-
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 3; r++ {
@@ -381,6 +402,89 @@ func TestConcurrentGraphStressMixedSchedule(t *testing.T) {
 	e.Release()
 }
 
+// TestConcurrentGraphIngestBacklogBound pins Ingest's admission contract
+// while the maintenance lock is held, as a long solve holds it: concurrent
+// batches are admitted whole until the next one would pass the limit, then
+// refused whole; the backlog never passes the limit; a batch with an
+// invalid statement is refused with its error; and once the lock is
+// released every admitted statement lands exactly once.
+func TestConcurrentGraphIngestBacklogBound(t *testing.T) {
+	const (
+		n       = 16
+		limit   = 40
+		writers = 4
+	)
+	cg, err := NewConcurrentGraph(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		cg.Exclusive(func(*LogGraph) { close(held); <-release })
+		close(done)
+	}()
+	<-held
+
+	bad := []Statement{{From: 0, To: 1, W: 1}, {From: 0, To: n, W: 1}}
+	if err := cg.Ingest(bad, limit); err == nil || errors.Is(err, ErrBacklog) {
+		t.Fatalf("batch with an out-of-range statement: %v", err)
+	}
+	ref, err := NewLogGraph(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				// Three statements over two sources of opposite parity,
+				// hence both shards.
+				batch := []Statement{
+					{From: w, To: (w + 1) % n, W: float64(i + 1)},
+					{From: w + writers + 1, To: w, W: 0.5},
+					{From: w, To: (w + 2) % n, W: float64(i), Set: true},
+				}
+				err := cg.Ingest(batch, limit)
+				if p := cg.Stats().Pending; p > limit {
+					t.Errorf("pending %d past the limit %d", p, limit)
+				}
+				if errors.Is(err, ErrBacklog) {
+					continue
+				} else if err != nil {
+					t.Error(err)
+					return
+				}
+				// Sources are disjoint per writer, so replaying each
+				// writer's admitted batches in its own order suffices.
+				mu.Lock()
+				for _, st := range batch {
+					if st.Set {
+						err = ref.SetTrust(st.From, st.To, st.W)
+					} else {
+						err = ref.AddTrust(st.From, st.To, st.W)
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if p := cg.Stats().Pending; p != limit/3*3 {
+		t.Errorf("pending %d with the lock held, want %d (every batch that fit)", p, limit/3*3)
+	}
+	close(release)
+	<-done
+	if !reflect.DeepEqual(cg.AppendEdges(nil), ref.AppendEdges(nil)) {
+		t.Fatal("store diverged from the replay of the admitted batches")
+	}
+}
+
 // TestConcurrentGraphEpochLeak is the buffer-retirement property test: over
 // 10k compaction/publish cycles with readers pinning along the way, the
 // store must cycle exactly two buffers — every retired buffer is reused
@@ -391,7 +495,6 @@ func TestConcurrentGraphEpochLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg.SetPendingWatermark(1 << 20)
 	rng := xrand.New(11)
 	buffers := map[*GraphEpoch]bool{}
 	for i := 0; i < 10000; i++ {

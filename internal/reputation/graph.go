@@ -69,17 +69,16 @@
 //     epoch's reader count, and re-validates the pointer (rolling back and
 //     retrying if a publish swapped it in between). No mutex, no
 //     allocation, no waiting — a reader never blocks other readers, and a
-//     held epoch never delays enqueues or the next publish. Holding one
+//     held epoch never delays writes or the next publish. Holding one
 //     indefinitely is still not free: the second publish after the pin
-//     must retire the pinned buffer and parks until the reader releases —
-//     and that publisher may be a writer goroutine whose enqueue crossed
-//     the pending watermark, so a long-pinned epoch can stall one writer
-//     for as long as the pin is held.
-//   - The publisher swaps: whoever runs maintenance (Flush, ClearPeer,
-//     Exclusive, the automatic pending watermark) drains the sharded
-//     ingest queues into the log in shard order, compacts, copies the row
-//     arrays into the spare buffer, and atomically swaps it in as the new
-//     current epoch.
+//     must retire the pinned buffer and parks until the reader releases,
+//     which stalls that maintenance call (a Flush or a solve) — never a
+//     writer, since writers only append to the ingest shards.
+//   - The publisher swaps: whoever runs maintenance (Flush, AppendEdges,
+//     ClearPeer, Clear, LoadEdges, Exclusive) drains the sharded ingest
+//     queues into the log in shard order, compacts, copies the row arrays
+//     into the spare buffer, and atomically swaps it in as the new current
+//     epoch. Nothing else publishes.
 //   - The publisher also retires: exactly two buffers exist, and before
 //     overwriting the spare the publisher waits — parked on a drain
 //     signal, not spinning — until the readers still pinned on it from

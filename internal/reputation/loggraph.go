@@ -10,6 +10,34 @@ import (
 // (nnz/4), so compaction cost stays amortized O(1) per logged statement.
 const defaultLogWatermark = 4096
 
+// Statement is one local-trust statement: From's trust in To accumulates W,
+// or is overwritten by W when Set (zero deletes the edge). It is the unit
+// ConcurrentGraph.Ingest admits; AddTrust and SetTrust are one-statement
+// shorthands for it on every store.
+type Statement struct {
+	From, To int
+	W        float64
+	Set      bool
+}
+
+// logOp checks s against an n-peer store and returns its log record. ok is
+// false when the statement is invalid (err says why) or changes nothing: a
+// self-statement, or an accumulate of w <= 0. An overwrite's negative
+// weight clamps to zero.
+func (s Statement) logOp(n int) (op logOp, ok bool, err error) {
+	if err := checkEdge(s.From, s.To, s.W, n); err != nil {
+		return logOp{}, false, err
+	}
+	if s.From == s.To || (!s.Set && s.W <= 0) {
+		return logOp{}, false, nil
+	}
+	w := s.W
+	if w < 0 {
+		w = 0
+	}
+	return logOp{from: int32(s.From), to: int32(s.To), w: w, set: s.Set}, true, nil
+}
+
 // logOp is one record of the append-only trust log: an accumulate
 // (set == false, w > 0) or an overwrite (set == true, w >= 0; zero deletes).
 // Records are appended pre-validated, so replaying the log never errors.
@@ -183,30 +211,22 @@ func (g *LogGraph) threshold() int {
 // zero (zero removes the edge at the next compaction); self-trust is
 // ignored. Out-of-range ids and non-finite weights return an error.
 func (g *LogGraph) SetTrust(from, to int, w float64) error {
-	if err := checkEdge(from, to, w, g.n); err != nil {
-		return err
-	}
-	if from == to {
-		return nil
-	}
-	if w < 0 {
-		w = 0
-	}
-	g.append(logOp{from: int32(from), to: int32(to), w: w, set: true})
-	return nil
+	return g.apply(Statement{From: from, To: to, W: w, Set: true})
 }
 
 // AddTrust accumulates w onto the existing local trust of from in to.
 // Non-positive w and self-trust are ignored, like the map-backed reference.
 func (g *LogGraph) AddTrust(from, to int, w float64) error {
-	if err := checkEdge(from, to, w, g.n); err != nil {
-		return err
+	return g.apply(Statement{From: from, To: to, W: w})
+}
+
+// apply checks one statement and appends its log record, if it has one.
+func (g *LogGraph) apply(s Statement) error {
+	op, ok, err := s.logOp(g.n)
+	if ok {
+		g.append(op)
 	}
-	if from == to || w <= 0 {
-		return nil
-	}
-	g.append(logOp{from: int32(from), to: int32(to), w: w})
-	return nil
+	return err
 }
 
 // append records one validated statement and compacts when the tail hits

@@ -345,9 +345,11 @@ func TestCompactScheduleInvariantFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg.SetPendingWatermark(64)
 	rng := xrand.New(99)
 	for k := 1; k <= ops; k++ {
+		if k%50 == 0 {
+			cg.Flush()
+		}
 		from := rng.Intn(n)
 		to := (from + 1 + rng.Intn(n-1)) % n
 		if rng.Intn(16) == 0 {

@@ -18,8 +18,8 @@ import (
 	"collabnet/internal/reputation"
 )
 
-// postBatch sends one single-source batch: admitted reports a 202, a 429
-// is a legitimate refusal (admitted=false), anything else is an error. It
+// postBatch sends one batch: admitted reports a 202, a 429 is a legitimate
+// refusal (admitted=false, nothing applied), anything else is an error. It
 // never touches testing.T so writer goroutines can call it safely.
 func postBatch(client *http.Client, url string, ev []Event) (admitted bool, err error) {
 	body, err := json.Marshal(ingestRequest{Events: ev})
@@ -43,8 +43,9 @@ func postBatch(client *http.Client, url string, ev []Event) (admitted bool, err 
 
 // TestE2EReplayEquivalence is the serving-path version of the store's
 // serial-reference guarantee, run under -race in CI: concurrent HTTP
-// writers (disjoint source ranges), concurrent readers, and forced solves
-// all interleave; afterwards the server's canonical edge dump must equal a
+// writers (disjoint source ranges, multi-source batches, a backlog cap
+// small enough to refuse some), concurrent readers, and forced solves all
+// interleave; afterwards the server's canonical edge dump must equal a
 // serial LogGraph replay of exactly the accepted events, and its final
 // published vector must equal a serial solve over that replay.
 func TestE2EReplayEquivalence(t *testing.T) {
@@ -55,7 +56,8 @@ func TestE2EReplayEquivalence(t *testing.T) {
 		batches = 60
 		batchSz = 8
 	)
-	s, err := New(Config{Peers: peers, Shards: 4, QueueDepth: 64, Watermark: 50})
+	// Three shards: a writer's sources (≡ w mod 4) spread over all of them.
+	s, err := New(Config{Peers: peers, Shards: 3, QueueDepth: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +77,11 @@ func TestE2EReplayEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 42))
 			client := &http.Client{}
 			for b := 0; b < batches; b++ {
-				// Sources partition by writer id; one source per batch keeps
-				// admission atomic per request.
-				src := w + writers*rng.Intn(peers/writers)
+				// Sources partition by writer id; a batch spans several of
+				// the writer's sources and so several ingest shards.
 				ev := make([]Event, 0, batchSz)
 				for len(ev) < batchSz {
+					src := w + writers*rng.Intn(peers/writers)
 					to := rng.Intn(peers)
 					if to == src {
 						continue
@@ -94,8 +96,8 @@ func TestE2EReplayEquivalence(t *testing.T) {
 					ev = append(ev, e)
 				}
 				for {
-					// Backpressure: retrying the identical single-source batch
-					// preserves per-source order (nothing of it was applied).
+					// Backpressure: retrying the identical batch preserves
+					// per-source order (a 429 applied nothing of it).
 					admitted, err := postBatch(client, ts.URL, ev)
 					if err != nil {
 						t.Error(err)

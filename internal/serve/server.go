@@ -18,7 +18,7 @@ import (
 // Defaults applied by Config.withDefaults.
 const (
 	DefaultShards     = 8
-	DefaultQueueDepth = 256
+	DefaultQueueDepth = 1 << 20
 	DefaultMaxBatch   = 4096
 	DefaultRefresh    = 500 * time.Millisecond
 
@@ -30,11 +30,12 @@ const (
 type Config struct {
 	// Peers is the (fixed) peer-id space the store ranges over. Required.
 	Peers int
-	// Shards is the queue/ingest shard count for both the serve-level
-	// writer and the concurrent store (0 = DefaultShards).
+	// Shards is the concurrent store's ingest shard count
+	// (0 = DefaultShards).
 	Shards int
-	// QueueDepth is the per-shard admission queue depth in batches; a full
-	// shard refuses its group with 429 (0 = DefaultQueueDepth).
+	// QueueDepth caps the events accepted but not yet folded into the
+	// store's log, store-wide; a batch that would pass it is refused whole
+	// with 429 (0 = DefaultQueueDepth, at most 24 MB of queued statements).
 	QueueDepth int
 	// MaxBatch caps the events accepted in one ingest request
 	// (0 = DefaultMaxBatch).
@@ -46,9 +47,6 @@ type Config struct {
 	PreTrusted []int
 	// Floor is the uniform allocation floor (0 = the incentive default).
 	Floor float64
-	// Watermark overrides the store's automatic publish threshold in
-	// pending statements (0 = store default).
-	Watermark int
 	// SnapshotPath, when set, is loaded at construction (if the file
 	// exists) and written by SaveSnapshot — the warm-restart surface.
 	SnapshotPath string
@@ -77,15 +75,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the trust/reputation service: the three planes of the package
-// doc behind one http.Handler. Construct with New, launch the write and
-// solve planes with Start, and quiesce with Stop (then SaveSnapshot).
+// doc behind one http.Handler. Construct with New, launch the solve plane
+// with Start, and quiesce with Stop (then SaveSnapshot).
 type Server struct {
 	cfg Config
 
 	gt     *incentive.GlobalTrust
 	cg     *reputation.ConcurrentGraph
 	reader reputation.TrustReader
-	wr     *writer
 	mux    *http.ServeMux
 
 	refreshReq chan chan error
@@ -94,7 +91,7 @@ type Server struct {
 	started    atomic.Bool
 
 	start     time.Time
-	accepted  atomic.Uint64 // events admitted to the write queues
+	accepted  atomic.Uint64 // events admitted to the store
 	rejected  atomic.Uint64 // events refused with 429
 	reads     atomic.Uint64 // read-plane requests served
 	refreshes atomic.Uint64 // solves that actually ran
@@ -113,8 +110,8 @@ type solveRecord struct {
 }
 
 // New builds a server (loading SnapshotPath when it exists) without
-// starting the write or solve planes: handlers already serve reads and
-// admit writes, which queue until Start.
+// starting the solve plane: handlers already serve reads, admit writes and
+// flush.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	scheme, err := incentive.NewScheme(cfg.Peers, incentive.Options{
@@ -129,15 +126,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	gt := scheme.(*incentive.GlobalTrust)
 	cg := gt.ConcurrentStore()
-	if cfg.Watermark > 0 {
-		cg.SetPendingWatermark(cfg.Watermark)
-	}
 	s := &Server{
 		cfg:        cfg,
 		gt:         gt,
 		cg:         cg,
 		reader:     cg,
-		wr:         newWriter(cg, cfg.Shards, cfg.QueueDepth),
 		refreshReq: make(chan chan error),
 		quit:       make(chan struct{}),
 		stopped:    make(chan struct{}),
@@ -158,25 +151,22 @@ func (s *Server) Store() *reputation.ConcurrentGraph { return s.cg }
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start launches the writer drainers and the refresh loop. Idempotent
-// after the first call.
+// Start launches the refresh loop. Idempotent after the first call.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
-	s.wr.start()
 	go s.refreshLoop()
 }
 
-// Stop quiesces a started server: drains every admitted event into the
-// store, stops the solve plane, and publishes the folded state. Admission
-// must have ceased (shut the HTTP listener down first). After Stop the
-// server serves reads only.
+// Stop quiesces a started server: stops the solve plane, then folds every
+// admitted event into the store and publishes. Admission must have ceased
+// (shut the HTTP listener down first). After Stop the server serves reads
+// only.
 func (s *Server) Stop() {
 	if !s.started.CompareAndSwap(true, false) {
 		return
 	}
-	s.wr.stop()
 	close(s.quit)
 	<-s.stopped
 	s.cg.Flush()
@@ -256,16 +246,17 @@ type ingestRequest struct {
 	Events []Event `json:"events"`
 }
 
-// ingestResponse reports per-request admission: Accepted events are
-// queued for application in order; Rejected events hit a full shard and
-// were refused whole-group (no partial application, no reordering).
+// ingestResponse reports per-request admission: a batch is accepted whole
+// (202, Accepted events queued for the store in order) or refused whole
+// (429, Rejected events, nothing applied).
 type ingestResponse struct {
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected,omitempty"`
 }
 
-// handleIngest admits a batch of events: decode, validate all, group by
-// ingest shard (preserving order), then admit each group atomically.
+// handleIngest admits a batch of events: decode, validate all, then admit
+// the whole batch into the store's ingest shards in one reservation
+// against QueueDepth.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req ingestRequest
@@ -282,38 +273,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"batch of %d events exceeds the %d-event cap", len(req.Events), s.cfg.MaxBatch)
 		return
 	}
+	batch := make([]reputation.Statement, len(req.Events))
 	for i, e := range req.Events {
 		if err := e.validate(s.cfg.Peers); err != nil {
 			writeErr(w, http.StatusBadRequest, "event %d: %v", i, err)
 			return
 		}
+		batch[i] = reputation.Statement{From: e.From, To: e.To, W: e.W, Set: e.Type == EventTrust && e.Set}
 	}
-	// Group by shard in arrival order: one source's events always form a
-	// single in-order group.
-	groups := make([][]Event, s.cfg.Shards)
-	for _, e := range req.Events {
-		sh := s.wr.shardFor(e.From)
-		groups[sh] = append(groups[sh], e)
-	}
-	resp := ingestResponse{}
-	for sh, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if s.wr.tryEnqueue(sh, g) {
-			resp.Accepted += len(g)
-		} else {
-			resp.Rejected += len(g)
-		}
-	}
-	s.accepted.Add(uint64(resp.Accepted))
-	s.rejected.Add(uint64(resp.Rejected))
-	if resp.Rejected > 0 {
+	n := len(batch)
+	switch err := s.cg.Ingest(batch, s.cfg.QueueDepth); {
+	case errors.Is(err, reputation.ErrBacklog):
+		s.rejected.Add(uint64(n))
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, resp)
-		return
+		writeJSON(w, http.StatusTooManyRequests, ingestResponse{Rejected: n})
+	case err != nil: // unreachable: validate is stricter than the store
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	default:
+		s.accepted.Add(uint64(n))
+		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: n})
 	}
-	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // reputationResponse is one peer's view of the last published solve.
@@ -507,8 +486,7 @@ type statsResponse struct {
 
 	Accepted    uint64 `json:"accepted"`
 	Rejected    uint64 `json:"rejected"`
-	Applied     uint64 `json:"applied"`
-	QueuedBatch int    `json:"queued_batches"`
+	Applied     uint64 `json:"applied"` // accepted − pending: already folded into the log
 	Reads       uint64 `json:"reads"`
 	Refreshes   uint64 `json:"refreshes"`
 	SolveErrors uint64 `json:"solve_errors"`
@@ -538,23 +516,25 @@ type statsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.cg.Stats()
+	accepted := s.accepted.Load()
 	resp := statsResponse{
 		Peers:         s.cfg.Peers,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Started:       s.started.Load(),
-		Accepted:      s.accepted.Load(),
+		Accepted:      accepted,
 		Rejected:      s.rejected.Load(),
-		Applied:       s.wr.applied.Load(),
-		QueuedBatch:   s.wr.queued(),
-		Reads:         s.reads.Load(),
-		Refreshes:     s.refreshes.Load(),
-		SolveErrors:   s.solveErrs.Load(),
-		Epoch:         st.Epoch,
-		Swaps:         st.Swaps,
-		RetireWaits:   st.RetireWaits,
-		Flushes:       st.Flushes,
-		Pending:       st.Pending,
-		Readers:       st.Readers,
+		// An admission in flight has reserved its pending count before
+		// it counts as accepted, so the difference can dip below zero.
+		Applied:     uint64(max(0, int64(accepted)-st.Pending)),
+		Reads:       s.reads.Load(),
+		Refreshes:   s.refreshes.Load(),
+		SolveErrors: s.solveErrs.Load(),
+		Epoch:       st.Epoch,
+		Swaps:       st.Swaps,
+		RetireWaits: st.RetireWaits,
+		Flushes:     st.Flushes,
+		Pending:     st.Pending,
+		Readers:     st.Readers,
 	}
 	if snap := s.reader.TrustSnapshot(); snap != nil {
 		resp.TrustEpoch = snap.Seq
@@ -578,14 +558,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "started": s.started.Load()})
 }
 
-// handleFlush quiesces the write plane (writer barrier, then a store
-// flush) so the next /v1/edges read is exact — the verification hook.
+// handleFlush folds every admitted event into the store and publishes, so
+// the next read sees everything acknowledged before the call — the
+// verification hook.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if !s.started.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "writer not running")
-		return
-	}
-	s.wr.barrier()
 	s.cg.Flush()
 	st := s.cg.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": st.Epoch, "pending": st.Pending})

@@ -6,11 +6,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"collabnet/internal/incentive"
+	"collabnet/internal/reputation"
 )
 
 // newTestServer builds a small started server plus its HTTP front end and
@@ -184,25 +187,107 @@ func TestIngestRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 fills a one-deep admission queue on an unstarted
-// server (no drainers) and requires whole-group 429 refusals, then starts
-// the planes and checks only the admitted group was ever applied.
+// holdMaintenance parks a goroutine inside the store's maintenance lock,
+// as a long solve would, until the returned release is called (at the
+// latest on cleanup, before the server stops): nothing drains the ingest
+// shards or publishes meanwhile.
+func holdMaintenance(t *testing.T, cg *reputation.ConcurrentGraph) (release func()) {
+	held, done, rel := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		cg.Exclusive(func(*reputation.LogGraph) { close(held); <-rel })
+		close(done)
+	}()
+	<-held
+	var once sync.Once
+	release = func() { once.Do(func() { close(rel); <-done }) }
+	t.Cleanup(release)
+	return release
+}
+
+// requireReadsOK fails unless every read endpoint answers 200.
+func requireReadsOK(t *testing.T, url string) {
+	t.Helper()
+	for _, path := range []string{
+		"/v1/reputation/1", "/v1/top?k=2", "/v1/alloc?source=0&d=1,2",
+		"/v1/trust?from=0&to=1", "/v1/peers/0/edges", "/v1/stats", "/healthz",
+	} {
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// edgeDump reads the canonical edge dump (which folds the backlog first).
+func edgeDump(t *testing.T, url string) []edgeJSON {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeBody[edgesResponse](t, resp).Edges
+}
+
+// replayDump is the serial reference: the canonical edges of a LogGraph
+// that applies the given batches once each, in order.
+func replayDump(t *testing.T, peers int, batches ...[]Event) []edgeJSON {
+	t.Helper()
+	ref, err := reputation.NewLogGraph(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		for _, e := range b {
+			if e.Type == EventTrust && e.Set {
+				err = ref.SetTrust(e.From, e.To, e.W)
+			} else {
+				err = ref.AddTrust(e.From, e.To, e.W)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	out := []edgeJSON{}
+	for _, e := range ref.AppendEdges(nil) {
+		out = append(out, edgeJSON{From: e.From, To: e.To, W: e.W})
+	}
+	return out
+}
+
+// ingest posts one batch and returns the status and decoded response.
+func ingest(t *testing.T, url string, ev []Event) (int, ingestResponse) {
+	t.Helper()
+	body, err := json.Marshal(ingestRequest{Events: ev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, url+"/v1/events", string(body))
+	return resp.StatusCode, decodeBody[ingestResponse](t, resp)
+}
+
+// TestBackpressure429 fills the backlog of an unstarted server whose
+// maintenance lock is held and requires a whole-batch 429 with
+// Retry-After; flushing (which works before Start) then applies exactly
+// the admitted batch.
 func TestBackpressure429(t *testing.T) {
-	cfg := Config{Peers: 8, Shards: 1, QueueDepth: 1}
-	s, err := New(cfg)
+	s, err := New(Config{Peers: 8, Shards: 1, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	release := holdMaintenance(t, s.Store())
 
-	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first batch status %d, want 202", resp.StatusCode)
+	first := []Event{{Type: EventTrust, From: 0, To: 1, W: 5}}
+	if code, r := ingest(t, ts.URL, first); code != http.StatusAccepted || r.Accepted != 1 {
+		t.Fatalf("first batch: %d %+v, want 202 accepting 1", code, r)
 	}
-	resp.Body.Close()
-
-	resp = postJSON(t, ts.URL+"/v1/events",
+	resp := postJSON(t, ts.URL+"/v1/events",
 		`{"events":[{"type":"trust","from":1,"to":2,"w":7},{"type":"trust","from":2,"to":3,"w":9}]}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow batch status %d, want 429", resp.StatusCode)
@@ -211,61 +296,106 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatal("429 must carry Retry-After")
 	}
 	if r := decodeBody[ingestResponse](t, resp); r.Rejected != 2 || r.Accepted != 0 {
-		t.Fatalf("whole group must be refused together: %+v", r)
+		t.Fatalf("whole batch must be refused together: %+v", r)
 	}
+	release()
 
-	// Flush before Start must refuse rather than deadlock.
-	resp = postJSON(t, ts.URL+"/v1/flush", "")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("flush on stopped writer: status %d, want 503", resp.StatusCode)
-	}
-
-	s.Start()
-	defer s.Stop()
 	resp = postJSON(t, ts.URL+"/v1/flush", "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("flush status %d", resp.StatusCode)
+		t.Fatalf("flush before Start: status %d, want 200", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/edges")
-	if err != nil {
-		t.Fatal(err)
+	if got := s.Store().Trust(0, 1); got != 5 {
+		t.Fatalf("trust(0,1) = %v after flush, want 5", got)
 	}
-	dump := decodeBody[edgesResponse](t, resp)
-	if len(dump.Edges) != 1 || dump.Edges[0] != (edgeJSON{From: 0, To: 1, W: 5}) {
-		t.Fatalf("store must hold exactly the admitted group: %+v", dump.Edges)
+	if got, want := edgeDump(t, ts.URL), replayDump(t, 8, first); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store must hold exactly the admitted batch: %+v, want %+v", got, want)
 	}
 	if s.rejected.Load() != 2 || s.accepted.Load() != 1 {
 		t.Fatalf("counters accepted=%d rejected=%d", s.accepted.Load(), s.rejected.Load())
 	}
 }
 
-// TestReadsNeverBlockOnQueues pins the plane separation: with the write
-// plane parked (unstarted drainers, queued events), every read endpoint
-// still answers.
-func TestReadsNeverBlockOnQueues(t *testing.T) {
-	s, err := New(Config{Peers: 8, Shards: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestIngestWholeBatch429 pins that a 429 applies nothing for any batch
+// shape: a batch over two sources, hence both ingest shards, that does not
+// fit the backlog is refused whole, and an identical retry after a flush
+// applies it exactly once.
+func TestIngestWholeBatch429(t *testing.T) {
+	_, ts := newTestServer(t, Config{Peers: 8, Shards: 2, QueueDepth: 3, Refresh: time.Hour})
+	first := []Event{{Type: EventContrib, From: 2, To: 5, W: 1.5}}
+	if code, _ := ingest(t, ts.URL, first); code != http.StatusAccepted {
+		t.Fatalf("first batch status %d, want 202", code)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp := postJSON(t, ts.URL+"/v1/events", `{"events":[{"type":"trust","from":0,"to":1,"w":5}]}`)
+	split := []Event{
+		{Type: EventContrib, From: 0, To: 3, W: 2},
+		{Type: EventTrust, From: 1, To: 3, W: 4},
+		{Type: EventContrib, From: 0, To: 4, W: 0.25},
+	}
+	code, r := ingest(t, ts.URL, split)
+	if code != http.StatusTooManyRequests || r != (ingestResponse{Accepted: 0, Rejected: 3}) {
+		t.Fatalf("two-source batch past the backlog: %d %+v, want 429 {accepted:0 rejected:3}", code, r)
+	}
+	if got, want := edgeDump(t, ts.URL), replayDump(t, 8, first); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a 429 changed the store: %+v, want %+v", got, want)
+	}
+	resp := postJSON(t, ts.URL+"/v1/flush", "")
 	resp.Body.Close()
-	for _, path := range []string{
-		"/v1/reputation/1", "/v1/top?k=2", "/v1/alloc?source=0&d=1,2",
-		"/v1/trust?from=0&to=1", "/v1/peers/0/edges", "/v1/stats", "/healthz",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d with write plane parked", path, resp.StatusCode)
-		}
+	if code, r := ingest(t, ts.URL, split); code != http.StatusAccepted || r.Accepted != 3 {
+		t.Fatalf("retry after flush: %d %+v, want 202 accepting 3", code, r)
 	}
+	if got, want := edgeDump(t, ts.URL), replayDump(t, 8, first, split); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retry must apply the batch exactly once: %+v, want %+v", got, want)
+	}
+}
+
+// TestIngestBacklogBound holds the maintenance lock, as a long solve does,
+// and requires ingest to refuse once the next batch would pass QueueDepth:
+// the store's backlog never exceeds it, every read endpoint keeps
+// answering, and after the lock is released exactly the admitted batches
+// land.
+func TestIngestBacklogBound(t *testing.T) {
+	const depth = 10
+	s, ts := newTestServer(t, Config{Peers: 8, Shards: 1, QueueDepth: depth})
+	release := holdMaintenance(t, s.Store())
+	var admitted [][]Event
+	refused := 0
+	for i := 0; i < 20; i++ {
+		ev := make([]Event, 4)
+		for k := range ev {
+			ev[k] = Event{Type: EventContrib, From: k, To: k + 1 + i%3, W: float64(i + 1)}
+		}
+		switch code, _ := ingest(t, ts.URL, ev); code {
+		case http.StatusAccepted:
+			admitted = append(admitted, ev)
+		case http.StatusTooManyRequests:
+			refused++
+		default:
+			t.Fatalf("batch %d: status %d", i, code)
+		}
+		if p := s.Store().Stats().Pending; p > depth {
+			t.Fatalf("batch %d: backlog %d past QueueDepth %d", i, p, depth)
+		}
+		requireReadsOK(t, ts.URL)
+	}
+	if len(admitted) != depth/4 || refused != 20-depth/4 {
+		t.Fatalf("admitted %d, refused %d batches; want %d and %d", len(admitted), refused, depth/4, 20-depth/4)
+	}
+	release()
+	if got, want := edgeDump(t, ts.URL), replayDump(t, 8, admitted...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store holds %+v, want the admitted batches %+v", got, want)
+	}
+}
+
+// TestReadsNeverBlockOnQueues pins the plane separation: with events
+// queued and the maintenance lock held (as during a long solve), every
+// read endpoint still answers and ingest still admits.
+func TestReadsNeverBlockOnQueues(t *testing.T) {
+	s, ts := newTestServer(t, Config{Peers: 8})
+	holdMaintenance(t, s.Store())
+	if code, _ := ingest(t, ts.URL, []Event{{Type: EventTrust, From: 0, To: 1, W: 5}}); code != http.StatusAccepted {
+		t.Fatalf("ingest with the maintenance lock held: status %d", code)
+	}
+	requireReadsOK(t, ts.URL)
 }
 
 // TestStatsSurface checks the counters a dashboard would scrape.
@@ -418,33 +548,36 @@ func TestEventValidate(t *testing.T) {
 	}
 }
 
-// TestWriterBarrierOrdering hammers one shard with interleaved batches and
-// checks FIFO application via the accumulated edge value.
+// TestWriterBarrierOrdering sends one source's accumulating statements as
+// separate requests while the maintenance lock is held, then a final
+// overwrite; after a flush the overwrite must win, proving the backlog
+// folds in admission order.
 func TestWriterBarrierOrdering(t *testing.T) {
-	s, err := New(Config{Peers: 4, Shards: 1, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{Peers: 4, Shards: 1, QueueDepth: 64})
+	release := holdMaintenance(t, s.Store())
+	for i := 1; i <= 50; i++ {
+		if code, _ := ingest(t, ts.URL, []Event{{Type: EventTrust, From: 0, To: 1, W: float64(i)}}); code != http.StatusAccepted {
+			t.Fatalf("batch %d: status %d", i, code)
+		}
+	}
+	if code, _ := ingest(t, ts.URL, []Event{{Type: EventTrust, From: 0, To: 1, W: 7, Set: true}}); code != http.StatusAccepted {
+		t.Fatalf("final set: status %d", code)
+	}
+	if st := s.Store().Stats(); st.Pending != 51 {
+		t.Fatalf("backlog %d with the lock held, want 51", st.Pending)
+	}
+	release()
+	resp := postJSON(t, ts.URL+"/v1/flush", "")
+	resp.Body.Close()
+	if got := s.Store().Trust(0, 1); got != 7 {
+		t.Fatalf("trust(0,1) = %v, want the last Set to win (7)", got)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
-	defer s.Stop()
-	total := 0.0
-	for i := 1; i <= 50; i++ {
-		if !s.wr.tryEnqueue(0, []Event{{Type: EventTrust, From: 0, To: 1, W: float64(i)}}) {
-			t.Fatalf("enqueue %d refused", i)
-		}
-		total += float64(i)
-	}
-	// Overwrite last: after barrier the value must be exactly the final Set.
-	if !s.wr.tryEnqueue(0, []Event{{Type: EventTrust, From: 0, To: 1, W: 7, Set: true}}) {
-		t.Fatal("final set refused")
-	}
-	s.wr.barrier()
-	s.cg.Flush()
-	if got := s.cg.Trust(0, 1); got != 7 {
-		t.Fatalf("trust(0,1) = %v, want the last Set to win (7); accumulated total was %v", got, total)
-	}
-	if s.wr.applied.Load() != 51 {
-		t.Fatalf("applied %d, want 51", s.wr.applied.Load())
+	if st := decodeBody[statsResponse](t, resp); st.Applied != 51 || st.Pending != 0 {
+		t.Fatalf("stats after flush: applied %d pending %d, want 51 and 0", st.Applied, st.Pending)
 	}
 }
 
